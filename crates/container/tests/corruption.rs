@@ -21,8 +21,10 @@ fn sample_stream() -> VideoStream {
     w.finish().unwrap()
 }
 
-fn tmp(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("v2v_corruption_tests");
+/// A scratch path private to this process and to the `test` using it,
+/// so concurrent test binaries and tests never share a file.
+fn tmp(test: &str, name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("v2v_corruption_{}_{test}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir.join(name)
 }
@@ -35,7 +37,7 @@ proptest! {
     #[test]
     fn single_byte_flip_never_panics(pos_frac in 0.0f64..1.0, xor in 1u8..=255) {
         let s = sample_stream();
-        let path = tmp(&format!("flip_{pos_frac:.6}_{xor}.svc"));
+        let path = tmp("single_byte_flip_never_panics", &format!("flip_{pos_frac:.6}_{xor}.svc"));
         write_svc(&s, &path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
@@ -54,7 +56,7 @@ proptest! {
     #[test]
     fn truncation_never_panics(keep_frac in 0.0f64..1.0) {
         let s = sample_stream();
-        let path = tmp(&format!("trunc_{keep_frac:.6}.svc"));
+        let path = tmp("truncation_never_panics", &format!("trunc_{keep_frac:.6}.svc"));
         write_svc(&s, &path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         let keep = (bytes.len() as f64 * keep_frac) as usize;
@@ -68,7 +70,7 @@ proptest! {
     /// Random garbage is rejected (or at worst decodes to errors).
     #[test]
     fn random_garbage_rejected(data in prop::collection::vec(any::<u8>(), 0..512)) {
-        let path = tmp(&format!("garbage_{}.svc", data.len()));
+        let path = tmp("random_garbage_rejected", &format!("garbage_{}.svc", data.len()));
         std::fs::write(&path, &data).unwrap();
         if let Ok(stream) = read_svc(&path) {
             let _ = stream.decode_range(0, stream.len());

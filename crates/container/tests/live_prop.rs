@@ -42,8 +42,10 @@ fn sealed_prefix(h: &VideoStream, n: usize) -> VideoStream {
     VideoStream::new(*h.params(), h.start(), h.frame_dur(), packets).unwrap()
 }
 
-fn tmp(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("v2v_live_prop_{}", std::process::id()));
+/// A scratch path private to this process and to the `test` using it,
+/// so concurrent test binaries and tests never share a file.
+fn tmp(test: &str, name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("v2v_live_prop_{}_{test}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir.join(name)
 }
@@ -108,7 +110,10 @@ proptest! {
         seed in 0u32..1000,
     ) {
         let h = history();
-        let path = tmp(&format!("torture_{seed}_{}.svc", std::process::id()));
+        let path = tmp(
+            "interleaved_appends_crashes_and_reads_always_see_the_committed_prefix",
+            &format!("torture_{seed}.svc"),
+        );
         let _ = std::fs::remove_file(&path);
 
         let mut writer =
@@ -189,7 +194,10 @@ proptest! {
 #[test]
 fn concurrent_reads_only_ever_see_committed_prefixes() {
     let h = history();
-    let path = tmp("concurrent.svc");
+    let path = tmp(
+        "concurrent_reads_only_ever_see_committed_prefixes",
+        "concurrent.svc",
+    );
     let _ = std::fs::remove_file(&path);
     let mut writer = LiveWriter::create(&path, *h.params(), h.start(), h.frame_dur()).unwrap();
 

@@ -7,32 +7,23 @@
 //! `(video, keyframe index)`, so concurrent [`SourceCursor`]s decode each
 //! GOP once and share the frames without copying.
 //!
+//! It is a `BudgetLru` weighed in frames plus a [`SingleFlight`] over
+//! the same keys. The LRU keeps a GOP larger than the whole budget (the
+//! cursor that asked for it still needs it) until the next insertion.
+//!
 //! [`SourceCursor`]: crate::SourceCursor
 
-use std::collections::{HashMap, HashSet};
+use crate::budget_lru::BudgetLru;
+use crate::single_flight::{Join, SingleFlight};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use v2v_frame::Frame;
 
 /// One decoded GOP: frames in presentation order starting at the
 /// keyframe, each shared.
 pub type GopFrames = Arc<Vec<Arc<Frame>>>;
 
-struct Entry {
-    frames: GopFrames,
-    /// Last-touch stamp for LRU eviction.
-    stamp: u64,
-}
-
-struct Inner {
-    map: HashMap<(String, u64), Entry>,
-    /// Keys currently being decoded by some cursor; other requesters of
-    /// the same GOP block on [`GopCache::decoded`] instead of decoding a
-    /// duplicate.
-    in_flight: HashSet<(String, u64)>,
-    total_frames: usize,
-    next_stamp: u64,
-}
+type GopKey = (String, u64);
 
 /// A thread-safe LRU cache of decoded GOPs, bounded by total frame count.
 ///
@@ -45,10 +36,8 @@ struct Inner {
 /// reuses that result (a hit). This is what makes per-cursor hit/miss
 /// accounting deterministic.
 pub struct GopCache {
-    inner: Mutex<Inner>,
-    /// Signalled whenever an in-flight decode completes (or fails).
-    decoded: Condvar,
-    capacity_frames: usize,
+    lru: BudgetLru<GopKey, GopFrames>,
+    flight: SingleFlight<GopKey, GopFrames>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -56,7 +45,7 @@ pub struct GopCache {
 impl std::fmt::Debug for GopCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GopCache")
-            .field("capacity_frames", &self.capacity_frames)
+            .field("capacity_frames", &self.lru.budget())
             .field("hits", &self.hits())
             .field("misses", &self.misses())
             .finish()
@@ -64,24 +53,11 @@ impl std::fmt::Debug for GopCache {
 }
 
 impl GopCache {
-    /// Locks the cache state, recovering from poisoning: the cache holds
-    /// only memoized data (no invariants span an unwind), so a panic in
-    /// some other holder must not cascade into every later lookup.
-    fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// A cache holding at most `capacity_frames` decoded frames.
     pub fn new(capacity_frames: usize) -> GopCache {
         GopCache {
-            inner: Mutex::new(Inner {
-                map: HashMap::new(),
-                in_flight: HashSet::new(),
-                total_frames: 0,
-                next_stamp: 0,
-            }),
-            decoded: Condvar::new(),
-            capacity_frames,
+            lru: BudgetLru::new(capacity_frames as u64),
+            flight: SingleFlight::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -89,55 +65,12 @@ impl GopCache {
 
     /// Whether the cache can hold anything at all.
     pub fn enabled(&self) -> bool {
-        self.capacity_frames > 0
+        self.lru.budget() > 0
     }
 
-    /// Looks up the GOP starting at keyframe index `gop` of `video`,
-    /// refreshing its LRU stamp. Counts a hit or miss.
-    pub fn get(&self, video: &str, gop: u64) -> Option<GopFrames> {
-        let mut inner = self.lock();
-        inner.next_stamp += 1;
-        let stamp = inner.next_stamp;
-        match inner.map.get_mut(&(video.to_owned(), gop)) {
-            Some(e) => {
-                e.stamp = stamp;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(e.frames.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Inserts a decoded GOP, evicting least-recently-used entries while
-    /// the total frame count exceeds capacity (the new entry itself is
-    /// never evicted by its own insertion).
-    pub fn insert(&self, video: &str, gop: u64, frames: GopFrames) {
-        let mut inner = self.lock();
-        self.insert_locked(&mut inner, (video.to_owned(), gop), frames);
-    }
-
-    fn insert_locked(&self, inner: &mut Inner, key: (String, u64), frames: GopFrames) {
-        inner.next_stamp += 1;
-        let stamp = inner.next_stamp;
-        let added = frames.len();
-        if let Some(old) = inner.map.insert(key.clone(), Entry { frames, stamp }) {
-            inner.total_frames -= old.frames.len();
-        }
-        inner.total_frames += added;
-        while inner.total_frames > self.capacity_frames && inner.map.len() > 1 {
-            let victim = inner
-                .map
-                .iter()
-                .filter(|(k, _)| **k != key)
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| k.clone())
-                .expect("more than one entry");
-            let evicted = inner.map.remove(&victim).expect("victim present");
-            inner.total_frames -= evicted.frames.len();
-        }
+    fn hit(&self, frames: GopFrames) -> (GopFrames, bool) {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        (frames, true)
     }
 
     /// Serves the GOP at keyframe `gop` of `video`, decoding it at most
@@ -147,8 +80,8 @@ impl GopCache {
     ///
     /// Returns the frames plus `was_hit` so callers can attribute the
     /// hit/miss to themselves deterministically — the caller that paid
-    /// for the decode sees `false`, everyone else `true`. A failed
-    /// decode releases the key so a later requester can retry.
+    /// for the decode sees `false`, everyone else `true`. A failed (or
+    /// panicking) decode releases the key so a later requester can retry.
     pub fn get_or_insert_with<E>(
         &self,
         video: &str,
@@ -156,40 +89,26 @@ impl GopCache {
         decode: impl FnOnce() -> Result<GopFrames, E>,
     ) -> Result<(GopFrames, bool), E> {
         let key = (video.to_owned(), gop);
-        let mut inner = self.lock();
         loop {
-            inner.next_stamp += 1;
-            let stamp = inner.next_stamp;
-            if let Some(e) = inner.map.get_mut(&key) {
-                e.stamp = stamp;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((e.frames.clone(), true));
+            if let Some(frames) = self.lru.get(&key) {
+                return Ok(self.hit(frames));
             }
-            if !inner.in_flight.contains(&key) {
-                break;
-            }
-            inner = self
-                .decoded
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        inner.in_flight.insert(key.clone());
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        drop(inner);
-        let result = decode();
-        let mut inner = self.lock();
-        inner.in_flight.remove(&key);
-        match result {
-            Ok(frames) => {
-                self.insert_locked(&mut inner, key, frames.clone());
-                drop(inner);
-                self.decoded.notify_all();
-                Ok((frames, false))
-            }
-            Err(e) => {
-                drop(inner);
-                self.decoded.notify_all();
-                Err(e)
+            match self.flight.join(key.clone()) {
+                Join::Leader(guard) => {
+                    // A leader that drained between the lookup above and
+                    // this join has already inserted the GOP.
+                    if let Some(frames) = self.lru.get(&key) {
+                        return Ok(self.hit(frames));
+                    }
+                    self.misses.fetch_add(1, Ordering::Relaxed);
+                    let frames = decode()?;
+                    self.lru.insert(key, frames.clone(), frames.len() as u64);
+                    guard.publish(frames.clone());
+                    return Ok((frames, false));
+                }
+                Join::Follower(Some(frames)) => return Ok(self.hit(frames)),
+                // The leader failed: contend for the key again.
+                Join::Follower(None) => {}
             }
         }
     }
@@ -206,7 +125,7 @@ impl GopCache {
 
     /// Decoded frames currently held.
     pub fn frames_held(&self) -> usize {
-        self.lock().total_frames
+        self.lru.weight() as usize
     }
 }
 
@@ -223,38 +142,22 @@ mod tests {
         )
     }
 
+    fn fill(c: &GopCache, video: &str, at: u64, n: usize) -> bool {
+        c.get_or_insert_with(video, at, || Ok::<_, ()>(gop(n)))
+            .unwrap()
+            .1
+    }
+
     #[test]
     fn hit_and_miss_counting() {
         let c = GopCache::new(100);
-        assert!(c.get("a", 0).is_none());
-        c.insert("a", 0, gop(4));
-        assert!(c.get("a", 0).is_some());
-        assert!(c.get("a", 4).is_none());
-        assert!(c.get("b", 0).is_none());
+        assert!(!fill(&c, "a", 0, 4));
+        assert!(fill(&c, "a", 0, 4));
+        assert!(!fill(&c, "a", 4, 4));
+        assert!(!fill(&c, "b", 0, 4));
         assert_eq!(c.hits(), 1);
         assert_eq!(c.misses(), 3);
-    }
-
-    #[test]
-    fn lru_eviction_bounded_by_frames() {
-        let c = GopCache::new(10);
-        c.insert("v", 0, gop(4));
-        c.insert("v", 4, gop(4));
-        c.insert("v", 8, gop(4)); // 12 frames > 10 → evict LRU ("v", 0)
-        assert!(c.frames_held() <= 10);
-        assert!(c.get("v", 0).is_none(), "oldest GOP must be evicted");
-        assert!(c.get("v", 8).is_some());
-    }
-
-    #[test]
-    fn touch_refreshes_lru_order() {
-        let c = GopCache::new(10);
-        c.insert("v", 0, gop(4));
-        c.insert("v", 4, gop(4));
-        assert!(c.get("v", 0).is_some()); // refresh GOP 0
-        c.insert("v", 8, gop(4)); // now GOP 4 is the LRU victim
-        assert!(c.get("v", 0).is_some());
-        assert!(c.get("v", 4).is_none());
+        assert_eq!(c.frames_held(), 12);
     }
 
     #[test]
@@ -262,39 +165,10 @@ mod tests {
         // A single GOP larger than capacity is kept (the cursor needs it)
         // but evicted as soon as a second entry lands.
         let c = GopCache::new(2);
-        c.insert("v", 0, gop(5));
-        assert!(c.get("v", 0).is_some());
-        c.insert("v", 5, gop(5));
-        assert!(c.get("v", 0).is_none());
-    }
-
-    #[test]
-    fn get_or_insert_decodes_exactly_once_under_contention() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let c = GopCache::new(1000);
-        let decodes = AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    let (frames, _) = c
-                        .get_or_insert_with("v", 0, || {
-                            decodes.fetch_add(1, Ordering::SeqCst);
-                            // Widen the race window so waiters really queue.
-                            std::thread::sleep(std::time::Duration::from_millis(20));
-                            Ok::<_, ()>(gop(4))
-                        })
-                        .unwrap();
-                    assert_eq!(frames.len(), 4);
-                });
-            }
-        });
-        assert_eq!(
-            decodes.load(Ordering::SeqCst),
-            1,
-            "one decode for 8 readers"
-        );
-        assert_eq!(c.misses(), 1);
-        assert_eq!(c.hits(), 7);
+        assert!(!fill(&c, "v", 0, 5));
+        assert!(fill(&c, "v", 0, 5));
+        assert!(!fill(&c, "v", 5, 5));
+        assert!(!fill(&c, "v", 0, 5), "the oversized GOP was evicted");
     }
 
     #[test]

@@ -21,17 +21,18 @@
 //! benchmarks and tests can attribute costs.
 
 pub mod apply;
+mod budget_lru;
 pub mod catalog;
 pub mod cursor;
 pub mod executor;
 pub mod fault;
-pub mod flight;
 pub mod gop_cache;
 pub mod mem_tier;
 pub mod naive;
 pub mod remote;
 pub mod render_cache;
 pub mod scheduler;
+pub mod single_flight;
 pub mod streaming;
 pub mod trace;
 
@@ -40,13 +41,13 @@ pub use catalog::{Catalog, VariantSource};
 pub use cursor::SourceCursor;
 pub use executor::{execute, execute_traced, ExecOptions, ExecStats};
 pub use fault::{error_kind, ErrorPolicy, FaultAction, FaultInjector, FaultKind, SegmentFault};
-pub use flight::{Claim, FlightGuard, FragmentFlight};
 pub use gop_cache::{GopCache, GopFrames};
 pub use mem_tier::MemTier;
 pub use naive::execute_naive;
 pub use remote::RemoteRenderer;
-pub use render_cache::{CacheStats, CacheTier, RenderCache, SegmentCacheCtx};
+pub use render_cache::{CacheStats, CacheTier, FragmentFlight, RenderCache, SegmentCacheCtx};
 pub use scheduler::{segment_cost, PartOutput, SchedReport};
+pub use single_flight::{FlightGuard, Join, SingleFlight};
 pub use streaming::{execute_streaming, execute_streaming_with, StreamingStats};
 pub use trace::{ExecTrace, SegmentTrace, StageTimes};
 

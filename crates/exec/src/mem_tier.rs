@@ -8,56 +8,30 @@
 //!
 //! Policy:
 //!
-//! * **Byte-budgeted LRU.** Entries are charged their serialized byte
-//!   size; the least-recently-touched entry is evicted when the total
-//!   exceeds the budget. An entry larger than the whole budget is never
-//!   admitted.
-//! * **Frequency-gated promotion.** An entry becomes resident only
-//!   after [`promote_after`](MemTier::promote_after) accesses (ghost
-//!   counters track non-resident keys), so a one-off scan cannot flush
-//!   the hot set — the clock-like "second chance" half of LRU/clock.
+//! * **Byte-budgeted LRU.** A `BudgetLru` charged each entry's
+//!   serialized byte size. An entry larger than the whole budget is
+//!   never admitted.
+//! * **Frequency-gated promotion.** An entry becomes resident only on
+//!   its second access (ghost counters track non-resident
+//!   keys), so a one-off scan cannot flush the hot set — the clock-like
+//!   "second chance" half of LRU/clock.
 //! * **No authority.** The tier holds copies of data whose truth lives
 //!   on disk (or is re-renderable); it can be dropped at any time
-//!   without correctness impact, and a poisoned lock is recovered, not
-//!   propagated.
-//!
-//! Concurrency: the map is split into `SHARD_COUNT` lock shards keyed
-//! by entry name, so concurrent hits on distinct entries never contend.
-//! LRU stamps and the byte total are global atomics — eviction still
-//! picks the globally least-recently-used entry (it scans the shards,
-//! which is fine because eviction is rare next to the hit path).
+//!   without correctness impact.
 
+use crate::budget_lru::BudgetLru;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use v2v_container::Fragment;
 
-/// Number of lock shards. A small power of two: enough that a handful
-/// of serving threads hammering the hit path rarely collide, small
-/// enough that the eviction scan stays trivial.
-const SHARD_COUNT: usize = 8;
+/// Accesses after which a key becomes resident.
+const PROMOTE_AFTER: u32 = 2;
 
-/// Ghost (non-resident) frequency counters are bounded per shard so an
-/// endless stream of distinct keys cannot grow the maps without limit;
-/// when a shard's cap is hit its counters reset, which only delays
-/// promotions.
-const MAX_GHOSTS_PER_SHARD: usize = 65_536 / SHARD_COUNT;
-
-struct MemEntry {
-    frag: Arc<Fragment>,
-    bytes: u64,
-    /// Last-touch stamp (from the tier-global counter) for LRU
-    /// eviction.
-    stamp: u64,
-}
-
-#[derive(Default)]
-struct Shard {
-    resident: HashMap<String, MemEntry>,
-    /// Access counts for keys not (yet) resident.
-    ghosts: HashMap<String, u32>,
-}
+/// Ghost (non-resident) frequency counters are bounded so an endless
+/// stream of distinct keys cannot grow the map without limit; when the
+/// cap is hit the counters reset, which only delays promotions.
+const MAX_GHOSTS: usize = 65_536;
 
 /// A byte-budgeted, frequency-promoted, in-memory fragment cache.
 ///
@@ -65,20 +39,17 @@ struct Shard {
 /// are the cache's entry names so the two tiers address the same
 /// namespace.
 pub struct MemTier {
-    budget_bytes: u64,
-    promote_after: u32,
-    shards: Vec<Mutex<Shard>>,
-    total_bytes: AtomicU64,
-    next_stamp: AtomicU64,
+    resident: BudgetLru<String, Arc<Fragment>>,
+    /// Access counts for keys not (yet) resident.
+    ghosts: Mutex<HashMap<String, u32>>,
     hits: AtomicU64,
-    evictions: AtomicU64,
     promotions: AtomicU64,
 }
 
 impl std::fmt::Debug for MemTier {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MemTier")
-            .field("budget_bytes", &self.budget_bytes)
+            .field("budget_bytes", &self.budget_bytes())
             .field("bytes_held", &self.bytes_held())
             .field("hits", &self.hits())
             .field("promotions", &self.promotions())
@@ -87,46 +58,19 @@ impl std::fmt::Debug for MemTier {
 }
 
 impl MemTier {
-    /// A tier with the given byte budget; entries are promoted on their
-    /// second access (`promote_after` = 2).
+    /// A tier with the given byte budget.
     pub fn new(budget_bytes: u64) -> MemTier {
-        MemTier::with_promote_after(budget_bytes, 2)
-    }
-
-    /// A tier that promotes an entry once it has been accessed
-    /// `promote_after` times (minimum 1: promote on first access).
-    pub fn with_promote_after(budget_bytes: u64, promote_after: u32) -> MemTier {
         MemTier {
-            budget_bytes,
-            promote_after: promote_after.max(1),
-            shards: (0..SHARD_COUNT)
-                .map(|_| Mutex::new(Shard::default()))
-                .collect(),
-            total_bytes: AtomicU64::new(0),
-            next_stamp: AtomicU64::new(0),
+            resident: BudgetLru::new(budget_bytes),
+            ghosts: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
             promotions: AtomicU64::new(0),
         }
     }
 
-    fn shard(&self, name: &str) -> MutexGuard<'_, Shard> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        name.hash(&mut h);
-        self.shards[(h.finish() as usize) % SHARD_COUNT]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn lock_shard(&self, index: usize) -> MutexGuard<'_, Shard> {
-        self.shards[index]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// The configured byte budget.
     pub fn budget_bytes(&self) -> u64 {
-        self.budget_bytes
+        self.resident.budget()
     }
 
     /// Accesses promoted past the gate so far.
@@ -141,38 +85,37 @@ impl MemTier {
 
     /// Resident entries evicted under budget pressure.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.resident.evictions()
     }
 
     /// Bytes currently resident.
     pub fn bytes_held(&self) -> u64 {
-        self.total_bytes.load(Ordering::Relaxed)
+        self.resident.weight()
     }
 
     /// Resident entry count.
     pub fn entries(&self) -> usize {
-        (0..SHARD_COUNT)
-            .map(|i| self.lock_shard(i).resident.len())
-            .sum()
+        self.resident.len()
     }
 
-    /// Accesses required before a key becomes resident.
-    pub fn promote_after(&self) -> u32 {
-        self.promote_after
+    /// Ghost counters are plain tallies, so a poisoned lock is recovered.
+    fn ghosts(&self) -> std::sync::MutexGuard<'_, HashMap<String, u32>> {
+        self.ghosts.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Looks up `name`, refreshing its LRU stamp on a hit. A miss also
-    /// counts one ghost access so a later [`admit`](MemTier::admit) can
-    /// decide on promotion.
+    /// Looks up `name`, refreshing its LRU position on a hit. A miss
+    /// also counts one ghost access so a later [`admit`](MemTier::admit)
+    /// can decide on promotion.
     pub fn get(&self, name: &str) -> Option<Arc<Fragment>> {
-        let stamp = self.next_stamp.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut shard = self.shard(name);
-        if let Some(e) = shard.resident.get_mut(name) {
-            e.stamp = stamp;
+        if let Some(frag) = self.resident.get(name) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some(Arc::clone(&e.frag));
+            return Some(frag);
         }
-        Self::bump_ghost(&mut shard, name);
+        let mut ghosts = self.ghosts();
+        if ghosts.len() >= MAX_GHOSTS && !ghosts.contains_key(name) {
+            ghosts.clear();
+        }
+        *ghosts.entry(name.to_string()).or_insert(0) += 1;
         None
     }
 
@@ -181,84 +124,26 @@ impl MemTier {
     /// miss that preceded this call) has reached the promotion gate and
     /// it fits the budget.
     pub fn admit(&self, name: &str, frag: &Arc<Fragment>, bytes: u64) {
-        if self.budget_bytes == 0 || bytes > self.budget_bytes {
+        if self.budget_bytes() == 0 || bytes > self.budget_bytes() {
             return;
         }
         {
-            let mut shard = self.shard(name);
-            if shard.resident.contains_key(name) {
+            let mut ghosts = self.ghosts();
+            if ghosts.get(name).copied().unwrap_or(0) < PROMOTE_AFTER {
                 return;
             }
-            let freq = shard.ghosts.get(name).copied().unwrap_or(0);
-            if freq < self.promote_after {
-                return;
-            }
-            shard.ghosts.remove(name);
-            let stamp = self.next_stamp.fetch_add(1, Ordering::Relaxed) + 1;
-            shard.resident.insert(
-                name.to_string(),
-                MemEntry {
-                    frag: Arc::clone(frag),
-                    bytes,
-                    stamp,
-                },
-            );
+            ghosts.remove(name);
         }
-        self.total_bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.resident
+            .insert(name.to_string(), Arc::clone(frag), bytes);
         self.promotions.fetch_add(1, Ordering::Relaxed);
-        self.evict_to_budget(name);
     }
 
-    /// Drops `name` if resident — called when the disk tier evicts or
-    /// replaces the entry so the tiers cannot serve diverging bytes.
+    /// Drops `name` if resident — called when the disk tier evicts the
+    /// entry, so memory never outlives the disk index.
     pub fn invalidate(&self, name: &str) {
-        let mut shard = self.shard(name);
-        if let Some(old) = shard.resident.remove(name) {
-            self.total_bytes.fetch_sub(old.bytes, Ordering::Relaxed);
-        }
-        shard.ghosts.remove(name);
-    }
-
-    fn bump_ghost(shard: &mut Shard, name: &str) {
-        if shard.ghosts.len() >= MAX_GHOSTS_PER_SHARD && !shard.ghosts.contains_key(name) {
-            shard.ghosts.clear();
-        }
-        *shard.ghosts.entry(name.to_string()).or_insert(0) += 1;
-    }
-
-    /// Evicts globally least-recently-stamped entries until the total
-    /// fits the budget, never evicting `keep` (the just-admitted
-    /// entry). Shards are locked one at a time; an entry retouched
-    /// between the scan and the removal is hot again and spared.
-    fn evict_to_budget(&self, keep: &str) {
-        while self.total_bytes.load(Ordering::Relaxed) > self.budget_bytes {
-            let mut victim: Option<(usize, String, u64)> = None;
-            for i in 0..SHARD_COUNT {
-                let shard = self.lock_shard(i);
-                for (name, e) in &shard.resident {
-                    if name.as_str() == keep {
-                        continue;
-                    }
-                    let better = victim
-                        .as_ref()
-                        .map_or(true, |(_, _, stamp)| e.stamp < *stamp);
-                    if better {
-                        victim = Some((i, name.clone(), e.stamp));
-                    }
-                }
-            }
-            let Some((i, name, stamp)) = victim else {
-                break;
-            };
-            let mut shard = self.lock_shard(i);
-            let untouched = shard.resident.get(&name).is_some_and(|e| e.stamp == stamp);
-            if untouched {
-                if let Some(old) = shard.resident.remove(&name) {
-                    self.total_bytes.fetch_sub(old.bytes, Ordering::Relaxed);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
+        self.resident.remove(name);
+        self.ghosts().remove(name);
     }
 }
 
@@ -286,6 +171,14 @@ mod tests {
         (Arc::new(frag), bytes)
     }
 
+    /// Two disk-tier reads: the access pattern that passes the gate.
+    fn read_twice(tier: &MemTier, name: &str, f: &Arc<Fragment>, b: u64) {
+        for _ in 0..2 {
+            assert!(tier.get(name).is_none());
+            tier.admit(name, f, b);
+        }
+    }
+
     #[test]
     fn promotion_requires_repeat_access() {
         let tier = MemTier::new(1 << 20);
@@ -305,51 +198,18 @@ mod tests {
     }
 
     #[test]
-    fn promote_after_one_admits_immediately() {
-        let tier = MemTier::with_promote_after(1 << 20, 1);
-        let (f, b) = frag(4, 2);
-        assert!(tier.get("seg-a").is_none());
-        tier.admit("seg-a", &f, b);
-        assert!(tier.get("seg-a").is_some());
-    }
-
-    #[test]
-    fn lru_eviction_respects_byte_budget() {
-        let (f, one) = frag(8, 3);
-        // Room for two entries, not three; promote on first access.
-        let tier = MemTier::with_promote_after(one * 2 + one / 2, 1);
-        for name in ["seg-1", "seg-2"] {
-            assert!(tier.get(name).is_none());
-            tier.admit(name, &f, one);
-        }
-        assert_eq!(tier.entries(), 2);
-        assert_eq!(tier.evictions(), 0);
-        // Touch seg-1 so seg-2 is the LRU victim.
-        assert!(tier.get("seg-1").is_some());
-        assert!(tier.get("seg-3").is_none());
-        tier.admit("seg-3", &f, one);
-        assert_eq!(tier.evictions(), 1);
-        assert!(tier.bytes_held() <= tier.budget_bytes());
-        assert!(tier.get("seg-2").is_none(), "LRU victim gone");
-        assert!(tier.get("seg-1").is_some());
-        assert!(tier.get("seg-3").is_some());
-    }
-
-    #[test]
     fn oversized_entry_is_never_admitted() {
         let (f, b) = frag(8, 4);
-        let tier = MemTier::with_promote_after(b / 2, 1);
-        assert!(tier.get("seg-big").is_none());
-        tier.admit("seg-big", &f, b);
+        let tier = MemTier::new(b / 2);
+        read_twice(&tier, "seg-big", &f, b);
         assert_eq!(tier.entries(), 0);
     }
 
     #[test]
     fn invalidate_drops_resident_entry() {
-        let tier = MemTier::with_promote_after(1 << 20, 1);
+        let tier = MemTier::new(1 << 20);
         let (f, b) = frag(4, 5);
-        assert!(tier.get("seg-a").is_none());
-        tier.admit("seg-a", &f, b);
+        read_twice(&tier, "seg-a", &f, b);
         assert!(tier.get("seg-a").is_some());
         tier.invalidate("seg-a");
         assert_eq!(tier.entries(), 0);
@@ -358,32 +218,9 @@ mod tests {
 
     #[test]
     fn zero_budget_disables_the_tier() {
-        let tier = MemTier::with_promote_after(0, 1);
+        let tier = MemTier::new(0);
         let (f, b) = frag(4, 6);
-        assert!(tier.get("seg-a").is_none());
-        tier.admit("seg-a", &f, b);
+        read_twice(&tier, "seg-a", &f, b);
         assert_eq!(tier.entries(), 0);
-    }
-
-    #[test]
-    fn concurrent_hits_on_distinct_entries() {
-        let tier = MemTier::with_promote_after(1 << 24, 1);
-        let names: Vec<String> = (0..16).map(|i| format!("seg-{i}")).collect();
-        for name in &names {
-            let (f, b) = frag(4, 7);
-            assert!(tier.get(name).is_none());
-            tier.admit(name, &f, b);
-        }
-        std::thread::scope(|scope| {
-            for name in &names {
-                scope.spawn(|| {
-                    for _ in 0..200 {
-                        assert!(tier.get(name).is_some());
-                    }
-                });
-            }
-        });
-        assert_eq!(tier.hits(), 16 * 200);
-        assert_eq!(tier.entries(), 16);
     }
 }

@@ -25,18 +25,20 @@
 //!   checksum; a bad entry (bit rot, truncation, a meddling process) is
 //!   evicted and the caller re-renders. Classified as
 //!   [`ErrorKind::CorruptData`] internally, never a panic.
-//! * **Bounded footprint.** A byte budget with LRU eviction; the
-//!   just-inserted entry is never evicted by its own insertion.
+//! * **Bounded footprint.** The index is a `BudgetLru` by file bytes;
+//!   the just-inserted entry is never evicted by its own insertion, and
+//!   an evicted entry's file is unlinked and its memory-tier copy
+//!   dropped. A hit in either tier refreshes the entry's place.
 //!
 //! [`ErrorKind::CorruptData`]: v2v_container::ContainerError::BadFile
 
-use crate::flight::FragmentFlight;
+use crate::budget_lru::BudgetLru;
 use crate::mem_tier::MemTier;
+use crate::single_flight::SingleFlight;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use v2v_container::{fragment_to_bytes, read_fragment, Fragment, VideoStream};
 
 /// Render-cache activity for one run, embedded in
@@ -98,26 +100,32 @@ pub enum CacheTier {
     Disk,
 }
 
-struct EntryMeta {
-    bytes: u64,
-    /// Last-touch stamp for LRU eviction.
-    stamp: u64,
-}
-
-struct Index {
-    entries: HashMap<String, EntryMeta>,
-    total_bytes: u64,
-    next_stamp: u64,
-}
+/// In-flight single-flight registry for segment fragments, shared by
+/// every engine run that participates in work sharing (one per daemon).
+///
+/// When two concurrent plans contain the same cacheable segment, the
+/// disk cache only helps if one finishes before the other starts. The
+/// flight closes that window: the first worker to reach a key leads the
+/// render, and everyone arriving while it is in flight receives the
+/// leader's fragment. Ordering invariant (the reason duplicates are
+/// impossible rather than unlikely): callers join the flight **before**
+/// consulting the memory/disk tiers, and a leader stores to disk
+/// **before** publishing, so a latecomer either follows the flight or
+/// finds the entry on disk. A follower handed `None` (the leader
+/// failed) renders locally.
+pub type FragmentFlight = SingleFlight<u64, Arc<Fragment>>;
 
 /// A persistent, byte-budgeted, content-addressed cache of rendered
 /// fragments and whole results. Thread-safe: the serving daemon shares
 /// one instance across concurrent jobs.
 pub struct RenderCache {
     dir: PathBuf,
-    budget_bytes: u64,
-    index: Mutex<Index>,
-    evictions: AtomicU64,
+    /// Entry names weighed in file bytes; the files are the truth. It
+    /// holds the budget (`u64::MAX` for unbounded) and counts budget
+    /// evictions.
+    index: BudgetLru<String, ()>,
+    /// Entries dropped because their file was corrupt or missing.
+    corrupt_evictions: AtomicU64,
     tmp_seq: AtomicU64,
     /// Optional hot tier above the directory; entries are promoted on
     /// access frequency and consulted before any disk read.
@@ -128,7 +136,7 @@ impl std::fmt::Debug for RenderCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RenderCache")
             .field("dir", &self.dir)
-            .field("budget_bytes", &self.budget_bytes)
+            .field("budget_bytes", &self.budget_bytes())
             .field("bytes_held", &self.bytes_held())
             .field("evictions", &self.evictions())
             .finish()
@@ -166,37 +174,39 @@ impl RenderCache {
             found.push((name, meta.len(), mtime));
         }
         found.sort_by_key(|(_, _, mtime)| *mtime);
-        let mut index = Index {
-            entries: HashMap::with_capacity(found.len()),
-            total_bytes: 0,
-            next_stamp: 0,
-        };
-        for (name, bytes, _) in found {
-            index.next_stamp += 1;
-            index.total_bytes += bytes;
-            index.entries.insert(
-                name,
-                EntryMeta {
-                    bytes,
-                    stamp: index.next_stamp,
-                },
-            );
-        }
         let cache = RenderCache {
             dir,
-            budget_bytes,
-            index: Mutex::new(index),
-            evictions: AtomicU64::new(0),
+            // A zero budget means unbounded.
+            index: BudgetLru::new(if budget_bytes == 0 {
+                u64::MAX
+            } else {
+                budget_bytes
+            }),
+            corrupt_evictions: AtomicU64::new(0),
             tmp_seq: AtomicU64::new(0),
             mem: None,
         };
-        // A crash can leave the directory over budget; restore the
-        // invariant before serving (these do not count as run-visible
-        // evictions — no run is in flight yet).
-        let mut guard = cache.lock();
-        cache.evict_to_budget(&mut guard, None);
-        drop(guard);
-        cache.evictions.store(0, Ordering::Relaxed);
+        // Restore the budget a crash (or a smaller budget) may have
+        // broken: keep the newest entries that fit — what seeding them
+        // oldest first through the LRU would leave — and discard the
+        // rest. Pruning before indexing keeps it out of the eviction
+        // count: no run is in flight yet.
+        let mut held = 0u64;
+        let mut kept = Vec::new();
+        for (name, bytes, _) in found.into_iter().rev() {
+            let fits = cache.admits(bytes) && {
+                held = held.saturating_add(bytes);
+                held <= cache.index.budget()
+            };
+            if fits {
+                kept.push((name, bytes));
+            } else {
+                cache.discard(&name);
+            }
+        }
+        for (name, bytes) in kept.into_iter().rev() {
+            cache.insert(name, bytes);
+        }
         Ok(cache)
     }
 
@@ -218,49 +228,50 @@ impl RenderCache {
         &self.dir
     }
 
-    /// The configured byte budget.
+    /// The configured byte budget (0 = unbounded).
     pub fn budget_bytes(&self) -> u64 {
-        self.budget_bytes
+        match self.index.budget() {
+            u64::MAX => 0,
+            budget => budget,
+        }
     }
 
     /// Entries evicted since open (budget pressure or corruption).
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.index.evictions() + self.corrupt_evictions.load(Ordering::Relaxed)
     }
 
     /// Total bytes currently indexed.
     pub fn bytes_held(&self) -> u64 {
-        self.lock().total_bytes
+        self.index.weight()
     }
 
     /// Number of entries currently indexed.
     pub fn entries(&self) -> usize {
-        self.lock().entries.len()
+        self.index.len()
     }
 
-    /// The index holds only redundant metadata (the files are the
-    /// truth), so recover from poisoning rather than cascading a panic
-    /// into every later request.
-    fn lock(&self) -> MutexGuard<'_, Index> {
-        self.index.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Looks up a cached whole result by plan fingerprint.
-    pub fn load_result(&self, fingerprint: u64) -> Option<VideoStream> {
-        self.load_result_tiered(fingerprint).map(|(s, _)| s)
+    /// Serves `name` from the memory tier, refreshing its place in the
+    /// disk index too so a hot entry is not the disk tier's LRU victim.
+    fn mem_get(&self, name: &str) -> Option<Arc<Fragment>> {
+        let frag = self.mem.as_ref()?.get(name)?;
+        self.index.get(name);
+        Some(frag)
     }
 
     /// Looks up a cached whole result, reporting which tier served it.
     pub fn load_result_tiered(&self, fingerprint: u64) -> Option<(VideoStream, CacheTier)> {
         let name = result_name(fingerprint);
-        if let Some(mem) = &self.mem {
-            if let Some(frag) = mem.get(&name) {
-                // A resident fragment was validated when it was read
-                // from disk; a conversion failure here means memory
-                // corruption — drop it and fall through to disk.
-                match (*frag).clone().into_stream() {
-                    Ok(stream) => return Some((stream, CacheTier::Memory)),
-                    Err(_) => mem.invalidate(&name),
+        if let Some(frag) = self.mem_get(&name) {
+            // A resident fragment was validated when it was read from
+            // disk; a conversion failure here means memory corruption —
+            // drop it and fall through to disk.
+            match (*frag).clone().into_stream() {
+                Ok(stream) => return Some((stream, CacheTier::Memory)),
+                Err(_) => {
+                    if let Some(mem) = &self.mem {
+                        mem.invalidate(&name);
+                    }
                 }
             }
         }
@@ -279,20 +290,13 @@ impl RenderCache {
         }
     }
 
-    /// Looks up a cached segment fragment by key.
-    pub fn load_segment(&self, key: u64) -> Option<Fragment> {
-        self.load_segment_tiered(key).map(|(f, _)| (*f).clone())
-    }
-
     /// Looks up a cached segment fragment, reporting which tier served
     /// it. The fragment is shared (`Arc`) so a memory hit copies
     /// nothing.
     pub fn load_segment_tiered(&self, key: u64) -> Option<(Arc<Fragment>, CacheTier)> {
         let name = segment_name(key);
-        if let Some(mem) = &self.mem {
-            if let Some(frag) = mem.get(&name) {
-                return Some((frag, CacheTier::Memory));
-            }
+        if let Some(frag) = self.mem_get(&name) {
+            return Some((frag, CacheTier::Memory));
         }
         let frag = Arc::new(self.load(&name)?);
         if let Some(mem) = &self.mem {
@@ -314,15 +318,7 @@ impl RenderCache {
     }
 
     fn load(&self, name: &str) -> Option<Fragment> {
-        {
-            let mut idx = self.lock();
-            idx.next_stamp += 1;
-            let stamp = idx.next_stamp;
-            match idx.entries.get_mut(name) {
-                Some(e) => e.stamp = stamp,
-                None => return None,
-            }
-        }
+        self.index.get(name)?;
         match read_fragment(self.dir.join(name)) {
             Ok(frag) => Some(frag),
             Err(_) => {
@@ -337,9 +333,7 @@ impl RenderCache {
     fn store(&self, name: &str, frag: &Fragment) -> std::io::Result<()> {
         let bytes = fragment_to_bytes(frag)
             .map_err(|e| std::io::Error::other(format!("fragment encode: {e}")))?;
-        if self.budget_bytes > 0 && bytes.len() as u64 > self.budget_bytes {
-            // Larger than the whole budget: storing it would only evict
-            // everything else and then itself on the next insert.
+        if !self.admits(bytes.len() as u64) {
             return Ok(());
         }
         let seq = self.tmp_seq.fetch_add(1, Ordering::Relaxed);
@@ -350,54 +344,38 @@ impl RenderCache {
         // Publish atomically; a concurrent writer of the same key simply
         // wins the rename race with identical content.
         std::fs::rename(&tmp, self.dir.join(name))?;
-        let mut idx = self.lock();
-        idx.next_stamp += 1;
-        let stamp = idx.next_stamp;
-        let added = bytes.len() as u64;
-        if let Some(old) = idx.entries.insert(
-            name.to_string(),
-            EntryMeta {
-                bytes: added,
-                stamp,
-            },
-        ) {
-            idx.total_bytes -= old.bytes;
-        }
-        idx.total_bytes += added;
-        self.evict_to_budget(&mut idx, Some(name));
+        self.insert(name.to_string(), bytes.len() as u64);
         Ok(())
     }
 
-    /// Evicts least-recently-used entries until the total fits the
-    /// budget, never evicting `keep` (the just-inserted entry).
-    fn evict_to_budget(&self, idx: &mut Index, keep: Option<&str>) {
-        if self.budget_bytes == 0 {
-            return;
-        }
-        while idx.total_bytes > self.budget_bytes {
-            let victim = idx
-                .entries
-                .iter()
-                .filter(|(name, _)| Some(name.as_str()) != keep)
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(name, _)| name.clone());
-            let Some(victim) = victim else { break };
-            if let Some(old) = idx.entries.remove(&victim) {
-                idx.total_bytes -= old.bytes;
-            }
-            let _ = std::fs::remove_file(self.dir.join(&victim));
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+    /// An entry larger than the whole budget is refused: storing it
+    /// would only evict everything else and then itself on the next
+    /// insert.
+    fn admits(&self, bytes: u64) -> bool {
+        bytes <= self.index.budget()
+    }
+
+    /// Indexes `name`, discarding whatever the budget evicts.
+    fn insert(&self, name: String, bytes: u64) {
+        for (victim, ()) in self.index.insert(name, (), bytes) {
+            self.discard(&victim);
         }
     }
 
-    /// Drops a corrupt entry: file and index row, counted as an
-    /// eviction exactly once even under concurrent detection.
+    /// Drops a corrupt entry, counted as an eviction exactly once even
+    /// under concurrent detection.
     fn evict_corrupt(&self, name: &str) {
-        let mut idx = self.lock();
-        if let Some(old) = idx.entries.remove(name) {
-            idx.total_bytes -= old.bytes;
-            let _ = std::fs::remove_file(self.dir.join(name));
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+        if self.index.remove(name).is_some() {
+            self.discard(name);
+            self.corrupt_evictions.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Unlinks an entry no longer indexed and drops its memory copy.
+    fn discard(&self, name: &str) {
+        let _ = std::fs::remove_file(self.dir.join(name));
+        if let Some(mem) = &self.mem {
+            mem.invalidate(name);
         }
     }
 }
@@ -465,14 +443,14 @@ mod tests {
         {
             let cache = RenderCache::open(&dir, 1 << 20).unwrap();
             cache.store_segment(42, &frag).unwrap();
-            let back = cache.load_segment(42).unwrap();
+            let (back, _) = cache.load_segment_tiered(42).unwrap();
             assert_eq!(back.len(), 6);
-            assert!(cache.load_segment(43).is_none());
+            assert!(cache.load_segment_tiered(43).is_none());
         }
         // A fresh open over the same directory sees the entry.
         let cache = RenderCache::open(&dir, 1 << 20).unwrap();
         assert_eq!(cache.entries(), 1);
-        assert!(cache.load_segment(42).is_some());
+        assert!(cache.load_segment_tiered(42).is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -487,13 +465,16 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
-        assert!(cache.load_segment(7).is_none(), "corrupt entry must miss");
+        assert!(
+            cache.load_segment_tiered(7).is_none(),
+            "corrupt entry must miss"
+        );
         assert_eq!(cache.evictions(), 1);
         assert_eq!(cache.entries(), 0);
         assert!(!path.exists(), "corrupt file must be deleted");
         // The slot is reusable.
         cache.store_segment(7, &sample_fragment(5, 3)).unwrap();
-        assert!(cache.load_segment(7).is_some());
+        assert!(cache.load_segment_tiered(7).is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -508,13 +489,13 @@ mod tests {
         cache.store_segment(2, &frag).unwrap();
         assert_eq!(cache.evictions(), 0);
         // Touch 1 so 2 is the LRU victim.
-        assert!(cache.load_segment(1).is_some());
+        assert!(cache.load_segment_tiered(1).is_some());
         cache.store_segment(3, &frag).unwrap();
         assert!(cache.evictions() >= 1);
         assert!(cache.bytes_held() <= cache.budget_bytes());
-        assert!(cache.load_segment(2).is_none(), "LRU victim gone");
-        assert!(cache.load_segment(1).is_some());
-        assert!(cache.load_segment(3).is_some());
+        assert!(cache.load_segment_tiered(2).is_none(), "LRU victim gone");
+        assert!(cache.load_segment_tiered(1).is_some());
+        assert!(cache.load_segment_tiered(3).is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -547,10 +528,10 @@ mod tests {
         let frag = sample_fragment(6, 9);
         let stream = frag.clone().into_stream().unwrap();
         cache.store_result(0xabcd, &stream).unwrap();
-        let back = cache.load_result(0xabcd).unwrap();
+        let (back, _) = cache.load_result_tiered(0xabcd).unwrap();
         assert_eq!(back.len(), stream.len());
         assert_eq!(back.content_digest(), stream.content_digest());
-        assert!(cache.load_result(0xabce).is_none());
+        assert!(cache.load_result_tiered(0xabce).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -589,6 +570,35 @@ mod tests {
         let (back, tier) = cache.load_result_tiered(0x77).unwrap();
         assert_eq!(tier, CacheTier::Memory);
         assert_eq!(back.content_digest(), stream.content_digest());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn disk_eviction_spares_mem_hot_entries_and_drops_evicted_ones() {
+        let dir = temp_dir("mem_disk_lru");
+        let frag = sample_fragment(8, 1);
+        let one = fragment_to_bytes(&frag).unwrap().len() as u64;
+        // Disk room for two entries, not three; memory room for all.
+        let cache = RenderCache::open(&dir, one * 2 + one / 2)
+            .unwrap()
+            .with_mem_tier(1 << 20);
+        cache.store_segment(1, &frag).unwrap();
+        cache.store_segment(2, &frag).unwrap();
+        // Two disk reads each promote both entries to memory; 1 was
+        // read first, so it is now the disk index's oldest entry.
+        for key in [1, 1, 2, 2] {
+            assert_eq!(cache.load_segment_tiered(key).unwrap().1, CacheTier::Disk);
+        }
+        assert_eq!(cache.mem_tier().unwrap().entries(), 2);
+        // A memory hit on 1 refreshes it on disk too, so 2 is the victim.
+        assert_eq!(cache.load_segment_tiered(1).unwrap().1, CacheTier::Memory);
+        cache.store_segment(3, &frag).unwrap();
+        assert_eq!(cache.evictions(), 1);
+        assert!(dir.join(segment_name(1)).exists(), "hot entry kept on disk");
+        assert!(!dir.join(segment_name(2)).exists(), "LRU victim unlinked");
+        // The disk victim left the memory tier with it.
+        assert_eq!(cache.mem_tier().unwrap().entries(), 1);
+        assert_eq!(cache.load_segment_tiered(1).unwrap().1, CacheTier::Memory);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

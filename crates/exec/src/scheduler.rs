@@ -39,9 +39,9 @@ use crate::catalog::Catalog;
 use crate::cursor::SourceCursor;
 use crate::executor::{ExecOptions, ExecStats};
 use crate::fault::{error_kind, ErrorPolicy, FaultAction, FaultInjector, SegmentFault};
-use crate::flight::Claim;
 use crate::gop_cache::GopCache;
 use crate::render_cache::{CacheStats, CacheTier, SegmentCacheCtx};
+use crate::single_flight::Join;
 use crate::trace::StageTimes;
 use crate::ExecError;
 use crossbeam::channel;
@@ -89,7 +89,7 @@ pub struct PartOutput {
     /// substituted under the run's [`ErrorPolicy`].
     pub fault: Option<SegmentFault>,
     /// Set when the worker already persisted this part's segment to the
-    /// render cache (a single-flight owner stores before publishing),
+    /// render cache (a single-flight leader stores before publishing),
     /// so the delivery-side store accumulator must not store it again.
     pub cache_stored: bool,
 }
@@ -440,7 +440,7 @@ fn worker_loop(
                             && t.to == plan.segments[t.seg_index].count
                         {
                             if let Some(key) = sc.key(t.seg_index) {
-                                if flight.is_inflight(key) {
+                                if flight.is_inflight(&key) {
                                     let mut t = t;
                                     t.deferred = true;
                                     st.queue.insert(0, t);
@@ -571,7 +571,7 @@ fn part_from_fragment(
 
 /// Loads this segment's fragment from the memory/disk tiers, if
 /// present and valid, returning the attributed part plus the fragment
-/// (so a single-flight owner can publish it to waiters).
+/// (so a single-flight leader can publish it to followers).
 fn load_cached_part(
     ctx: &PartCtx<'_>,
     sc: &SegmentCacheCtx,
@@ -626,8 +626,8 @@ fn remote_part(
 /// Renders one segment range, sharing work through the segment-cache
 /// context when the range is a whole keyed segment.
 ///
-/// Ordering invariant: the flight is claimed **before** the cache tiers
-/// are consulted, and an owner stores to disk **before** publishing.
+/// Ordering invariant: the flight is joined **before** the cache tiers
+/// are consulted, and a leader stores to disk **before** publishing.
 /// Any concurrent duplicate therefore either joins the flight or finds
 /// the entry on disk — a segment is never rendered twice, under any
 /// interleaving.
@@ -683,8 +683,8 @@ fn render_segment(
             fanout,
         );
     };
-    match flight.claim(key) {
-        Claim::Owner(guard) => {
+    match flight.join(key) {
+        Join::Leader(guard) => {
             if let Some((part, frag)) = load_cached_part(ctx, sc, key) {
                 guard.publish(frag);
                 return Ok(part);
@@ -732,7 +732,7 @@ fn render_segment(
             }
             Ok(part)
         }
-        Claim::Shared(Some(frag)) if fragment_matches(ctx, &frag) => {
+        Join::Follower(Some(frag)) if fragment_matches(ctx, &frag) => {
             let stats = CacheStats {
                 shared_segment_hits: 1,
                 bytes_reused: frag.byte_size(),
@@ -740,9 +740,9 @@ fn render_segment(
             };
             Ok(part_from_fragment(ctx, &frag, stats))
         }
-        // Owner failed, or (vanishingly unlikely) published a fragment
+        // Leader failed, or (vanishingly unlikely) published a fragment
         // that does not fit this plan: render locally, probe allowed.
-        Claim::Shared(_) => render_fresh(
+        Join::Follower(_) => render_fresh(
             ctx,
             program,
             inputs,
@@ -798,7 +798,7 @@ struct StoreAccum {
 /// Feeds one delivered part into the segment-store accumulator and
 /// flushes a finished segment to the persistent cache. Parts that were
 /// themselves cache hits (local, shared, or already stored by a
-/// single-flight owner), segments without a key (stream copies, UDF
+/// single-flight leader), segments without a key (stream copies, UDF
 /// programs), and segments touched by fault recovery are never stored.
 fn accumulate_for_store(
     sc: &SegmentCacheCtx,

@@ -18,7 +18,7 @@
 //! * **multi-query work sharing** — three tiers above per-request
 //!   execution (see [`share`]): a request whose canonical plan
 //!   fingerprint matches a render already in flight coalesces into it
-//!   via the [`InflightRegistry`] and receives
+//!   through a [`SingleFlight`] over fingerprints and receives
 //!   the same bytes (`inflight_hits` in its stats); concurrent
 //!   *overlapping* queries share a daemon-wide
 //!   [`FragmentFlight`], so each common
@@ -80,7 +80,7 @@ pub mod sub;
 
 use cluster::{PoolRemote, WorkerPool};
 use http::{read_request, write_response, Request, Response};
-use share::{InflightRegistry, Join, LeaderGuard, QueryOutcome, SharedError};
+use share::{follower_outcome, QueryOutcome, SharedError};
 use std::collections::BTreeMap;
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -91,7 +91,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use v2v_core::{EngineConfig, ErrorKind, PreparedRun, V2vEngine, V2vError};
 use v2v_data::Database;
-use v2v_exec::{Catalog, ExecStats, FragmentFlight, RenderCache};
+use v2v_exec::{Catalog, ExecStats, FlightGuard, FragmentFlight, Join, RenderCache, SingleFlight};
 use v2v_obs::{Counter, Gauge, Histogram, Registry};
 use v2v_spec::Spec;
 use v2v_store::{profile_plan, AccessProfile, SourceStore};
@@ -358,7 +358,7 @@ struct Shared {
     registry: Registry,
     metrics: Metrics,
     /// Whole-response single-flight by plan fingerprint.
-    inflight: InflightRegistry,
+    inflight: SingleFlight<u64, QueryOutcome>,
     /// Segment-level publish/subscribe shared by every engine this
     /// daemon builds, so overlapping renders produce each common
     /// segment exactly once.
@@ -481,7 +481,7 @@ impl V2vServer {
             gate,
             registry,
             metrics,
-            inflight: InflightRegistry::new(),
+            inflight: SingleFlight::new(),
             flight: Arc::new(FragmentFlight::new()),
             pool,
             jobs_done: AtomicU64::new(0),
@@ -1129,7 +1129,7 @@ fn handle_status(shared: &Shared) -> Response {
                 "enabled": shared.config.work_sharing,
                 "inflight": shared.inflight.inflight(),
                 "waiting": shared.inflight.waiting(),
-                "inflight_hits": shared.inflight.hits(),
+                "inflight_hits": shared.inflight.shared(),
                 "segments_published": shared.flight.published(),
                 "segment_hits": shared.flight.shared(),
             },
@@ -1172,7 +1172,7 @@ fn handle_query(req: &Request, shared: &Shared) -> Response {
         if let Some(fp) = prepared.run.fingerprint() {
             return match shared.inflight.join(fp) {
                 Join::Leader(guard) => run_admitted(shared, prepared, Some(guard)),
-                Join::Follower(outcome) => respond_follower(shared, &outcome),
+                Join::Follower(published) => respond_follower(shared, &follower_outcome(published)),
             };
         }
     }
@@ -1185,7 +1185,7 @@ fn handle_query(req: &Request, shared: &Shared) -> Response {
 fn run_admitted(
     shared: &Shared,
     prepared: PreparedQuery,
-    guard: Option<LeaderGuard<'_>>,
+    guard: Option<FlightGuard<'_, u64, QueryOutcome>>,
 ) -> Response {
     let waiting = Instant::now();
     if !shared.gate.enter() {

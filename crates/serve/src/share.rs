@@ -2,34 +2,20 @@
 //!
 //! The daemon's outermost sharing tier: when a request's prepared plan
 //! has the same fingerprint as a render already in flight, the request
-//! does not run at all — it subscribes to the running one and receives
-//! the same `.svc` bytes (or the same error). Equal fingerprints imply
+//! does not run at all — it follows the running one and receives the
+//! same `.svc` bytes (or the same error). Equal fingerprints imply
 //! byte-identical output over identical sources, so coalescing is
 //! invisible to clients except in `ExecStats.cache.inflight_hits`.
 //!
-//! Leaders register **before** entering the admission gate, so
-//! duplicates of a queued request coalesce too, and a burst of K
-//! identical queries consumes one admission slot instead of K.
-//! The registry mirrors [`FragmentFlight`](v2v_exec::FragmentFlight)
-//! one layer up: leader/follower instead of owner/waiter, HTTP outcome
-//! instead of fragment.
-//!
-//! The slot map is sharded by fingerprint: every request (shared or
-//! not) takes the registry lock at least once, and at high client
-//! counts a single map mutex serialized otherwise-independent
-//! requests. Fingerprints are uniform hashes, so `fp % SHARD_COUNT`
-//! spreads them evenly; unrelated queries now contend only within
-//! their shard while duplicates of one query still meet on the same
-//! shard's lock and condvar.
+//! The registry is a [`SingleFlight`](v2v_exec::SingleFlight) over
+//! fingerprints carrying a [`QueryOutcome`] — the same primitive as
+//! [`FragmentFlight`](v2v_exec::FragmentFlight) one layer down.
+//! Leaders join **before** entering the admission gate, so duplicates
+//! of a queued request coalesce too, and a burst of K identical
+//! queries consumes one admission slot instead of K.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use v2v_exec::ExecStats;
-
-/// Independent slot-map shards (a power of two; fingerprints are
-/// uniform, so the low bits index fairly).
-const SHARD_COUNT: usize = 8;
 
 /// The error half of a shared outcome: enough to rebuild the HTTP
 /// response for every follower.
@@ -49,306 +35,66 @@ pub struct SharedError {
 /// back-pressure the gate intended).
 pub type QueryOutcome = Result<(Arc<Vec<u8>>, ExecStats), SharedError>;
 
-// Slots are few (one per in-flight fingerprint) and short-lived, so
-// the size skew between the variants is irrelevant.
-#[allow(clippy::large_enum_variant)]
-enum SlotState {
-    Running,
-    Done(QueryOutcome),
-}
-
-struct Slot {
-    state: SlotState,
-    waiters: usize,
-}
-
-/// One shard: its own slot map and wake-up channel.
-#[derive(Default)]
-struct Shard {
-    slots: Mutex<HashMap<u64, Slot>>,
-    done: Condvar,
-}
-
-impl Shard {
-    fn lock(&self) -> MutexGuard<'_, HashMap<u64, Slot>> {
-        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// Registry of in-flight `POST /query` renders, keyed by plan
-/// fingerprint.
-pub struct InflightRegistry {
-    shards: Vec<Shard>,
-    hits: AtomicU64,
-}
-
-impl Default for InflightRegistry {
-    fn default() -> Self {
-        InflightRegistry {
-            shards: (0..SHARD_COUNT).map(|_| Shard::default()).collect(),
-            hits: AtomicU64::new(0),
-        }
-    }
-}
-
-/// Result of [`InflightRegistry::join`].
-pub enum Join<'a> {
-    /// This request runs the render and must
-    /// [`publish`](LeaderGuard::publish) (or drop the guard, which
-    /// publishes an internal error).
-    Leader(LeaderGuard<'a>),
-    /// An identical render was in flight; here is its outcome.
-    Follower(QueryOutcome),
-}
-
-/// Ownership of one in-flight fingerprint.
-pub struct LeaderGuard<'a> {
-    registry: &'a InflightRegistry,
-    fingerprint: u64,
-    released: bool,
-}
-
-impl LeaderGuard<'_> {
-    /// Hands the outcome to every follower and releases the slot.
-    pub fn publish(mut self, outcome: QueryOutcome) {
-        self.released = true;
-        self.registry.release(self.fingerprint, outcome);
-    }
-}
-
-impl Drop for LeaderGuard<'_> {
-    fn drop(&mut self) {
-        if !self.released {
-            self.registry.release(
-                self.fingerprint,
-                Err(SharedError {
-                    status: 500,
-                    kind: "internal".into(),
-                    message: "in-flight render aborted".into(),
-                }),
-            );
-        }
-    }
-}
-
-impl InflightRegistry {
-    /// An empty registry.
-    pub fn new() -> InflightRegistry {
-        InflightRegistry::default()
-    }
-
-    fn shard(&self, fingerprint: u64) -> &Shard {
-        &self.shards[(fingerprint % SHARD_COUNT as u64) as usize]
-    }
-
-    /// Requests coalesced into an in-flight render so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Fingerprints currently in flight.
-    pub fn inflight(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .values()
-                    .filter(|slot| matches!(slot.state, SlotState::Running))
-                    .count()
-            })
-            .sum()
-    }
-
-    /// Followers currently blocked on a leader.
-    pub fn waiting(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().values().map(|slot| slot.waiters).sum::<usize>())
-            .sum()
-    }
-
-    /// Joins the flight for `fingerprint`: the first request leads,
-    /// concurrent duplicates block until the leader publishes.
-    pub fn join(&self, fingerprint: u64) -> Join<'_> {
-        let shard = self.shard(fingerprint);
-        let mut inner = shard.lock();
-        loop {
-            match inner.get_mut(&fingerprint) {
-                None => {
-                    inner.insert(
-                        fingerprint,
-                        Slot {
-                            state: SlotState::Running,
-                            waiters: 0,
-                        },
-                    );
-                    return Join::Leader(LeaderGuard {
-                        registry: self,
-                        fingerprint,
-                        released: false,
-                    });
-                }
-                Some(slot) => match &slot.state {
-                    SlotState::Done(outcome) => {
-                        let outcome = outcome.clone();
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        return Join::Follower(outcome);
-                    }
-                    SlotState::Running => {
-                        slot.waiters += 1;
-                        inner = shard
-                            .done
-                            .wait(inner)
-                            .unwrap_or_else(PoisonError::into_inner);
-                        let slot = inner
-                            .get_mut(&fingerprint)
-                            .expect("slot removed while followers were registered");
-                        if let SlotState::Done(outcome) = &slot.state {
-                            let outcome = outcome.clone();
-                            slot.waiters -= 1;
-                            if slot.waiters == 0 {
-                                inner.remove(&fingerprint);
-                            }
-                            self.hits.fetch_add(1, Ordering::Relaxed);
-                            return Join::Follower(outcome);
-                        }
-                        slot.waiters -= 1;
-                        // Spurious wakeup: loop and re-wait.
-                    }
-                },
-            }
-        }
-    }
-
-    /// Marks the fingerprint done and wakes every follower. With no
-    /// followers the slot is removed immediately — a later identical
-    /// request is served by the render cache, not a stale slot.
-    fn release(&self, fingerprint: u64, outcome: QueryOutcome) {
-        let shard = self.shard(fingerprint);
-        let mut inner = shard.lock();
-        if let Some(slot) = inner.get_mut(&fingerprint) {
-            if slot.waiters == 0 {
-                inner.remove(&fingerprint);
-            } else {
-                slot.state = SlotState::Done(outcome);
-            }
-        }
-        drop(inner);
-        shard.done.notify_all();
-    }
+/// What a follower answers: the leader's published outcome, or a 500
+/// `internal` when the leader released the flight without publishing
+/// (it panicked or returned early).
+pub fn follower_outcome(published: Option<QueryOutcome>) -> QueryOutcome {
+    published.unwrap_or_else(|| {
+        Err(SharedError {
+            status: 500,
+            kind: "internal".into(),
+            message: "in-flight render aborted".into(),
+        })
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use v2v_exec::{FlightGuard, Join, SingleFlight};
 
-    fn ok_outcome(tag: u8) -> QueryOutcome {
-        Ok((Arc::new(vec![tag; 4]), ExecStats::default()))
-    }
-
-    #[test]
-    fn followers_receive_the_leaders_bytes_exactly_once() {
-        let reg = InflightRegistry::new();
-        let leads = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                scope.spawn(|| match reg.join(42) {
-                    Join::Leader(guard) => {
-                        leads.fetch_add(1, Ordering::SeqCst);
-                        std::thread::sleep(std::time::Duration::from_millis(20));
-                        guard.publish(ok_outcome(7));
-                    }
-                    Join::Follower(outcome) => {
-                        let (bytes, _) = outcome.expect("leader succeeded");
-                        assert_eq!(*bytes, vec![7; 4]);
-                    }
-                });
-            }
-        });
-        assert_eq!(leads.load(Ordering::SeqCst), 1);
-        assert_eq!(reg.hits(), 7);
-        assert_eq!(reg.inflight(), 0);
-        assert_eq!(reg.waiting(), 0);
-        // Drained: the next identical request leads afresh.
-        assert!(matches!(reg.join(42), Join::Leader(_)));
-    }
-
-    #[test]
-    fn errors_fan_out_to_followers() {
-        let reg = InflightRegistry::new();
-        std::thread::scope(|scope| {
-            let Join::Leader(guard) = reg.join(9) else {
-                panic!("first joiner leads");
-            };
-            let follower = scope.spawn(|| match reg.join(9) {
-                Join::Follower(Err(e)) => assert_eq!(e.status, 404),
-                _ => panic!("follower must see the leader's error"),
-            });
-            while reg.waiting() == 0 {
-                std::thread::yield_now();
-            }
-            guard.publish(Err(SharedError {
-                status: 404,
-                kind: "not_found".into(),
-                message: "missing".into(),
-            }));
-            follower.join().unwrap();
-        });
-    }
-
-    #[test]
-    fn dropped_leader_publishes_internal_error() {
-        let reg = InflightRegistry::new();
-        std::thread::scope(|scope| {
+    /// Leads a flight, parks one follower on it, ends the flight with
+    /// `finish`, and returns the follower's error and the share count.
+    fn follower_error(
+        finish: impl FnOnce(FlightGuard<'_, u64, QueryOutcome>),
+    ) -> (SharedError, u64) {
+        let reg = SingleFlight::<u64, QueryOutcome>::new();
+        let answer = std::thread::scope(|scope| {
             let Join::Leader(guard) = reg.join(1) else {
                 panic!("first joiner leads");
             };
             let follower = scope.spawn(|| match reg.join(1) {
-                Join::Follower(Err(e)) => assert_eq!(e.status, 500),
-                _ => panic!("follower must see the abort"),
+                Join::Follower(published) => follower_outcome(published),
+                Join::Leader(_) => panic!("must follow while the key is led"),
             });
             while reg.waiting() == 0 {
                 std::thread::yield_now();
             }
-            drop(guard);
-            follower.join().unwrap();
+            finish(guard);
+            follower.join().unwrap()
         });
-        assert!(matches!(reg.join(1), Join::Leader(_)));
+        assert!(matches!(reg.join(1), Join::Leader(_)), "the flight drained");
+        match answer {
+            Err(e) => (e, reg.shared()),
+            Ok(_) => panic!("follower must see an error"),
+        }
     }
 
     #[test]
-    fn distinct_fingerprints_run_independently() {
-        let reg = InflightRegistry::new();
-        let Join::Leader(a) = reg.join(1) else {
-            panic!("lead 1");
-        };
-        let Join::Leader(b) = reg.join(2) else {
-            panic!("lead 2");
-        };
-        assert_eq!(reg.inflight(), 2);
-        a.publish(ok_outcome(1));
-        b.publish(ok_outcome(2));
-        assert_eq!(reg.inflight(), 0);
-        assert_eq!(reg.hits(), 0);
+    fn errors_fan_out_to_followers() {
+        let (e, shared) = follower_error(|guard| {
+            guard.publish(Err(SharedError {
+                status: 404,
+                kind: "not_found".into(),
+                message: "missing".into(),
+            }))
+        });
+        assert_eq!((e.status, shared), (404, 1));
     }
 
     #[test]
-    fn same_shard_fingerprints_coalesce_independently() {
-        // 3 and 3 + SHARD_COUNT land on the same shard; each must still
-        // keep its own flight.
-        let reg = InflightRegistry::new();
-        let fp_a = 3u64;
-        let fp_b = 3u64 + SHARD_COUNT as u64;
-        let Join::Leader(a) = reg.join(fp_a) else {
-            panic!("lead a");
-        };
-        let Join::Leader(b) = reg.join(fp_b) else {
-            panic!("lead b");
-        };
-        assert_eq!(reg.inflight(), 2);
-        a.publish(ok_outcome(1));
-        b.publish(ok_outcome(2));
-        assert_eq!(reg.inflight(), 0);
+    fn dropped_leader_answers_followers_internal_error() {
+        let (e, shared) = follower_error(|guard| drop(guard));
+        assert_eq!((e.status, e.kind.as_str(), shared), (500, "internal", 0));
     }
 }

@@ -91,3 +91,30 @@ fn sixteen_threads_decode_each_gop_exactly_once() {
     assert_eq!(cache.misses(), unique);
     assert_eq!(cache.hits(), THREADS as u64 * unique - unique);
 }
+
+#[test]
+fn a_panicking_decode_does_not_wedge_its_gop() {
+    let cache = Arc::new(GopCache::new(1_000));
+    let c = Arc::clone(&cache);
+    let first = std::thread::spawn(move || {
+        c.get_or_insert_with::<std::convert::Infallible>("a", 0, || panic!("decoder blew up"))
+    });
+    assert!(first.join().is_err(), "the first decode panics");
+
+    // A reader that blocks forever on the abandoned key would hang the
+    // suite; run it aside and give up after a generous timeout instead.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let c = Arc::clone(&cache);
+    let second = std::thread::spawn(move || {
+        let served = c.get_or_insert_with::<std::convert::Infallible>("a", 0, || Ok(decode(0, 0)));
+        let _ = tx.send(served);
+    });
+    let (frames, was_hit) = rx
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("a panicked decode must not leave its GOP in flight")
+        .expect("decode is infallible");
+    second.join().expect("the second reader returns");
+    assert!(!was_hit, "the retry decodes afresh");
+    assert_eq!(frames.len(), FRAMES_PER_GOP);
+    assert_eq!(marker::read(&frames[0]), Some(0));
+}
