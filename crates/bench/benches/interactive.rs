@@ -8,12 +8,12 @@
 //! segments complete, so copy-first plans start in near-zero time, while
 //! the unoptimized arm cannot start until it finishes everything.
 //!
-//! `setup` is the one-time cost paid before execution begins (plan
-//! hand-off, writer/cache construction); `ttfp` is measured from
-//! executor start, so `setup + ttfp` is the user-visible latency.
+//! `ttfp` and `total` are read from the run's execution trace
+//! (`first_packet_ns`, `wall_ns`) and measured from executor start, so
+//! planning is excluded from both.
 
+use std::time::Duration;
 use v2v_bench::{build_query, engine_for, measure, print_header, secs, setup_kabr, Arm, QueryId};
-use v2v_exec::execute_streaming;
 
 fn main() {
     let ds = setup_kabr();
@@ -23,25 +23,19 @@ fn main() {
     );
     println!();
     println!(
-        "{:<6} {:>12} {:>14} {:>14} {:>14}",
-        "query", "setup (s)", "ttfp opt (s)", "total opt (s)", "unopt (s)"
+        "{:<6} {:>14} {:>14} {:>14}",
+        "query", "ttfp opt (s)", "total opt (s)", "unopt (s)"
     );
     for q in [QueryId::Q6, QueryId::Q7, QueryId::Q9, QueryId::Q10] {
         let spec = build_query(&ds, q);
         let mut engine = engine_for(&ds, Arm::Optimized);
-        engine.bind(&spec).expect("bind");
-        let (specialized, _) = engine.specialize(&spec);
-        let (plan, _) = engine.plan(&specialized).expect("plan");
-        let mut delivered = 0u64;
-        let (_, stats) =
-            execute_streaming(&plan, engine.catalog(), |_| delivered += 1).expect("streaming run");
+        let (_, trace) = engine.run_streaming(&spec, |_| {}).expect("streaming run");
         let unopt = measure(&ds, q, Arm::Unoptimized);
         println!(
-            "{:<6} {:>12} {:>14} {:>14} {:>14}",
+            "{:<6} {:>14} {:>14} {:>14}",
             q.label(),
-            secs(stats.setup),
-            secs(stats.time_to_first_packet),
-            secs(stats.total),
+            secs(Duration::from_nanos(trace.exec.first_packet_ns)),
+            secs(Duration::from_nanos(trace.exec.wall_ns)),
             secs(unopt.mean),
         );
     }

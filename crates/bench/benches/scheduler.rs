@@ -72,7 +72,7 @@ fn arms() -> Vec<(&'static str, ExecOptions)> {
         (
             "serial",
             ExecOptions {
-                parallel: false,
+                num_threads: 1,
                 ..Default::default()
             },
         ),

@@ -314,7 +314,7 @@ impl Arm {
             }
             Arm::NoShardSerial => {
                 cfg.optimizer.shard = false;
-                cfg.exec.parallel = false;
+                cfg.exec.num_threads = 1;
             }
         }
         cfg
@@ -410,7 +410,8 @@ pub fn trace_query(ds: &BenchDataset, q: QueryId, arm: Arm) -> v2v_core::RunTrac
     let spec = build_query(ds, q);
     let mut engine = engine_for(ds, arm);
     let (_, trace) = engine
-        .run_traced(&spec)
+        .prepare(&spec)
+        .and_then(|prepared| engine.run_prepared(prepared))
         .unwrap_or_else(|e| panic!("{} {} {}: {e}", ds.name, q.label(), arm.label()));
     trace
 }

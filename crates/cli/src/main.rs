@@ -59,8 +59,9 @@
 //! auto, also settable via `V2V_NUM_THREADS`); `--no-pipeline` disables
 //! the decode-ahead pipeline inside render segments; `--no-split`
 //! disables runtime splitting of long renders across idle workers;
-//! `--serial` turns all three off and runs segments one at a time. Every
-//! combination produces byte-identical output.
+//! `--serial` is `--threads 1`: one worker runs the segments one at a
+//! time in output order, which also turns pipelining and splitting
+//! off. Every combination produces byte-identical output.
 //!
 //! Fault tolerance: `--on-error` picks the degraded-mode policy when a
 //! segment keeps failing after `--max-retries` attempts (default 1):
@@ -340,7 +341,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             }
             "--no-optimize" => optimize = false,
             "--no-dde" => config.data_rewrites = false,
-            "--serial" => config.exec.parallel = false,
+            "--serial" => config.exec.num_threads = 1,
             "--threads" => {
                 i += 1;
                 config.exec.num_threads = args
@@ -448,7 +449,8 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     }
     let (report, trace) = if optimize {
         let (report, trace) = engine
-            .run_traced(&spec)
+            .prepare(&spec)
+            .and_then(|prepared| engine.run_prepared(prepared))
             .map_err(|e| CliError::from(V2vError::from(e)))?;
         (report, Some(trace))
     } else {

@@ -5,11 +5,12 @@ use crate::EngineError;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use v2v_codec::Packet;
 use v2v_container::{Fnv64, Fragment, VideoStream};
 use v2v_data::{Database, Query};
 use v2v_exec::{
-    execute_naive, execute_streaming_with, execute_traced, CacheTier, Catalog, ExecOptions,
-    ExecStats, ExecTrace, FragmentFlight, RenderCache, SegmentCacheCtx, StageTimes, StreamingStats,
+    execute_naive, execute_streaming, execute_traced, CacheTier, Catalog, ExecOptions, ExecStats,
+    ExecTrace, FragmentFlight, RenderCache, SegmentCacheCtx, StageTimes,
 };
 use v2v_obs::{SpanRecord, SpanSink};
 use v2v_plan::{
@@ -356,27 +357,18 @@ impl V2vEngine {
         digests
     }
 
-    /// Full pipeline: bind → specialize → check → plan → execute.
+    /// Full pipeline: bind → specialize → check → plan → execute, as
+    /// [`prepare`](V2vEngine::prepare) +
+    /// [`run_prepared`](V2vEngine::run_prepared).
     pub fn run(&mut self, spec: &Spec) -> Result<RunReport, EngineError> {
-        let (report, _) = self.run_traced(spec)?;
+        let prepared = self.prepare(spec)?;
+        let (report, _) = self.run_prepared(prepared)?;
         Ok(report)
     }
 
-    /// [`run`](V2vEngine::run), also returning the observability
-    /// artifact: rewrite trace, per-segment execution trace,
-    /// pipeline-stage spans, and a metrics snapshot, serializable as one
-    /// JSON document (the CLI's `--trace` flag).
-    pub fn run_traced(&mut self, spec: &Spec) -> Result<(RunReport, RunTrace), EngineError> {
-        let prepared = self.prepare(spec)?;
-        self.run_prepared(prepared)
-    }
-
-    /// The front half of [`run_traced`](V2vEngine::run_traced): bind →
-    /// specialize → check → plan, plus the plan's canonical cache
-    /// identity. The daemon prepares a request *before* admission so an
-    /// identical in-flight render can be joined without executing at
-    /// all; [`run_prepared`](V2vEngine::run_prepared) finishes the job.
-    pub fn prepare(&mut self, spec: &Spec) -> Result<PreparedRun, EngineError> {
+    /// The front half of every run: bind → specialize → check → plan,
+    /// each timed as a span. The result carries no cache identity.
+    fn plan_spec(&mut self, spec: &Spec) -> Result<PreparedRun, EngineError> {
         let spans = SpanSink::new();
         let timer = spans.start("bind");
         self.bind(spec)?;
@@ -390,28 +382,90 @@ impl V2vEngine {
             .attr("segments", physical.segments.len())
             .attr("rewrites", plan_trace.events.len())
             .finish();
-        let identity = self.plan_identity(&physical);
-        let (fingerprint, keys) = match identity {
-            Some((fp, keys)) => (Some(fp), keys),
-            None => (None, Vec::new()),
-        };
         Ok(PreparedRun {
             physical,
             check,
             plan_trace,
             dde_rewrites,
-            fingerprint,
-            keys,
+            fingerprint: None,
+            keys: Vec::new(),
             spans,
         })
     }
 
+    /// bind → specialize → check → plan, plus the plan's canonical cache
+    /// identity. The daemon prepares a request *before* admission so an
+    /// identical in-flight render can be joined without executing at
+    /// all; [`run_prepared`](V2vEngine::run_prepared) finishes the job.
+    pub fn prepare(&mut self, spec: &Spec) -> Result<PreparedRun, EngineError> {
+        let mut prepared = self.plan_spec(spec)?;
+        if let Some((fingerprint, keys)) = self.plan_identity(&prepared.physical) {
+            prepared.fingerprint = Some(fingerprint);
+            prepared.keys = keys;
+        }
+        Ok(prepared)
+    }
+
     /// Executes a [`PreparedRun`]: whole-result cache lookup (memory
     /// tier first), shared-segment execution, result store, span and
-    /// trace assembly.
+    /// trace assembly. The trace is the observability artifact the CLI's
+    /// `--trace` flag writes: rewrite trace, per-segment execution
+    /// trace, pipeline-stage spans, and a metrics snapshot.
     pub fn run_prepared(
         &mut self,
         prepared: PreparedRun,
+    ) -> Result<(RunReport, RunTrace), EngineError> {
+        self.run_core(prepared, None)
+    }
+
+    /// Full pipeline with on-demand streaming delivery: packets reach
+    /// `sink` in presentation order as segments complete, so playback
+    /// can begin long before synthesis finishes (paper §I: "begin
+    /// playback within seconds"). The run uses every cache and sharing
+    /// tier [`run_prepared`](V2vEngine::run_prepared) does; a
+    /// whole-result hit hands the cached packets to `sink` in order.
+    /// The trace's `exec.first_packet_ns` is the time to first packet.
+    pub fn run_streaming(
+        &mut self,
+        spec: &Spec,
+        mut sink: impl FnMut(&Packet),
+    ) -> Result<(RunReport, RunTrace), EngineError> {
+        let prepared = self.prepare(spec)?;
+        self.run_core(prepared, Some(&mut sink))
+    }
+
+    /// The configured [`ExecOptions`], plus a segment-cache context over
+    /// `keys` when segments are keyed and a cache, sharing or remote
+    /// tier exists to use them.
+    fn exec_options(
+        &self,
+        keys: Option<Vec<Option<u64>>>,
+        remote: Option<Arc<dyn v2v_exec::RemoteRenderer>>,
+    ) -> ExecOptions {
+        let mut opts = self.config.exec.clone();
+        let cache = self.config.render_cache.clone();
+        let flight = self.config.work_share.clone();
+        opts.segment_cache = match keys {
+            Some(keys) if cache.is_some() || flight.is_some() || remote.is_some() => {
+                Some(Arc::new(SegmentCacheCtx {
+                    cache,
+                    flight,
+                    keys,
+                    remote,
+                }))
+            }
+            _ => None,
+        };
+        opts
+    }
+
+    /// The one run core: result-cache lookup, execution (feeding `sink`
+    /// when present), result store, span and trace assembly. A run with
+    /// no fingerprint touches no cache, sharing or remote tier.
+    fn run_core(
+        &mut self,
+        prepared: PreparedRun,
+        sink: Option<&mut dyn FnMut(&Packet)>,
     ) -> Result<(RunReport, RunTrace), EngineError> {
         let PreparedRun {
             physical,
@@ -423,8 +477,6 @@ impl V2vEngine {
             spans,
         } = prepared;
         let cache = fingerprint.and_then(|_| self.config.render_cache.clone());
-        let flight = fingerprint.and_then(|_| self.config.work_share.clone());
-        let remote = fingerprint.and_then(|_| self.config.remote.clone());
         let timer = spans.start("execute");
         let exec_start_ns = spans.now_ns();
         let hit_start = Instant::now();
@@ -439,6 +491,14 @@ impl V2vEngine {
                 // fingerprint needs the optimized plan), but no decode,
                 // render, or encode happens at all.
                 let mut trace = ExecTrace::default();
+                if !output.is_empty() {
+                    trace.first_packet_ns = hit_start.elapsed().as_nanos() as u64;
+                }
+                if let Some(sink) = sink {
+                    for p in output.packets() {
+                        sink(p);
+                    }
+                }
                 trace.totals.cache.result_hits = 1;
                 trace.totals.cache.bytes_reused = output.byte_size();
                 trace.totals.cache.mem_hits = u64::from(tier == CacheTier::Memory);
@@ -446,20 +506,12 @@ impl V2vEngine {
                 trace.wall_ns = wall.as_nanos() as u64;
                 (output, trace, wall)
             }
-            _ => {
-                let share_exec = fingerprint.is_some()
-                    && (cache.is_some() || flight.is_some() || remote.is_some());
-                let (output, exec_trace, wall) = if share_exec {
-                    let mut exec_opts = self.config.exec.clone();
-                    exec_opts.segment_cache = Some(Arc::new(SegmentCacheCtx {
-                        cache: cache.clone(),
-                        flight: flight.clone(),
-                        keys,
-                        remote: remote.clone(),
-                    }));
-                    execute_traced(&physical, &self.catalog, &exec_opts)?
-                } else {
-                    execute_traced(&physical, &self.catalog, &self.config.exec)?
+            None => {
+                let remote = fingerprint.and_then(|_| self.config.remote.clone());
+                let opts = self.exec_options(fingerprint.map(|_| keys), remote);
+                let (output, exec_trace, wall) = match sink {
+                    Some(sink) => execute_streaming(&physical, &self.catalog, &opts, sink)?,
+                    None => execute_traced(&physical, &self.catalog, &opts)?,
                 };
                 if let (Some(cache), Some(fp)) = (&cache, fingerprint) {
                     if exec_trace.errors.is_empty() {
@@ -543,72 +595,14 @@ impl V2vEngine {
                 index: seg_index,
                 count: prepared.physical.segments.len(),
             })?;
+        // The carved plan has one segment at index 0; hand it the
+        // parent's key (segment keys are position-independent, so the
+        // carve preserves the content address). Never install a remote
+        // hook here — a worker must not re-dispatch.
         let key = prepared.keys.get(seg_index).copied().flatten();
-        let cache = key.and_then(|_| self.config.render_cache.clone());
-        let flight = key.and_then(|_| self.config.work_share.clone());
-        let mut exec_opts = self.config.exec.clone();
-        if key.is_some() && (cache.is_some() || flight.is_some()) {
-            // The carved plan has one segment at index 0; hand it the
-            // parent's key (segment keys are position-independent, so
-            // the carve preserves the content address). Never install a
-            // remote hook here — a worker must not re-dispatch.
-            exec_opts.segment_cache = Some(Arc::new(SegmentCacheCtx {
-                cache,
-                flight,
-                keys: vec![key],
-                remote: None,
-            }));
-        } else {
-            exec_opts.segment_cache = None;
-        }
-        let (output, exec_trace, _) = execute_traced(&sub, &self.catalog, &exec_opts)?;
+        let opts = self.exec_options(key.map(|k| vec![Some(k)]), None);
+        let (output, exec_trace, _) = execute_traced(&sub, &self.catalog, &opts)?;
         Ok((Fragment::from_stream(&output), exec_trace.totals))
-    }
-
-    /// Full pipeline with on-demand streaming delivery: packets reach
-    /// `sink` in presentation order as segments complete, so playback
-    /// can begin long before synthesis finishes (paper §I: "begin
-    /// playback within seconds").
-    pub fn run_streaming(
-        &mut self,
-        spec: &Spec,
-        sink: impl FnMut(&v2v_codec::Packet),
-    ) -> Result<(RunReport, StreamingStats), EngineError> {
-        self.bind(spec)?;
-        let (specialized, dde_rewrites) = self.specialize(spec);
-        let (physical, check) = self.plan(&specialized)?;
-        // Streaming honors the same ExecOptions as batch runs (it used
-        // to silently fall back to the default GOP-cache size, making
-        // the two executors report different cache hit/miss counts).
-        let (output, streaming) =
-            execute_streaming_with(&physical, &self.catalog, &self.config.exec, sink)?;
-        Ok((
-            RunReport {
-                output,
-                check,
-                stats: streaming.exec,
-                plan_stats: physical.stats,
-                dde_rewrites,
-                wall: streaming.total,
-                errors: streaming.errors.clone(),
-            },
-            streaming,
-        ))
-    }
-
-    /// Runs a spec and binds its output video back into the catalog under
-    /// `name` — the closed query algebra (§I: "a single video as a final
-    /// output … allows for a closed query algebra, enabling users to
-    /// express complex compound query operations"). Subsequent specs can
-    /// reference `name` like any source.
-    pub fn run_into_catalog(
-        &mut self,
-        name: impl Into<String>,
-        spec: &Spec,
-    ) -> Result<RunReport, EngineError> {
-        let report = self.run(spec)?;
-        self.catalog.add_video(name.into(), report.output.clone());
-        Ok(report)
     }
 
     /// Runs the unoptimized plan (naive operator-at-a-time execution, no
@@ -637,38 +631,39 @@ impl V2vEngine {
     /// Explains a spec without executing it: both plan renderings (the
     /// Fig. 2 pair) plus the optimizer's rewrite trace.
     pub fn explain(&mut self, spec: &Spec) -> Result<ExplainReport, EngineError> {
-        self.bind(spec)?;
-        let (specialized, dde_rewrites) = self.specialize(spec);
-        let logical_unopt = lower_spec(spec)?;
-        let (physical, _, trace) = self.plan_traced(&specialized)?;
+        let planned = self.plan_spec(spec)?;
         Ok(ExplainReport {
-            logical: explain_logical(&logical_unopt),
-            physical: explain_physical(&physical),
-            trace,
-            plan_stats: physical.stats,
-            dde_rewrites: dde_rewrites as u64,
+            logical: explain_logical(&lower_spec(spec)?),
+            physical: explain_physical(&planned.physical),
+            trace: planned.plan_trace,
+            plan_stats: planned.physical.stats,
+            dde_rewrites: planned.dde_rewrites as u64,
         })
     }
 
     /// `EXPLAIN ANALYZE`: plans *and runs* the spec, returning the plan
     /// annotated with the measured per-operator execution metrics (the
     /// output video is discarded).
+    ///
+    /// The run carries no cache identity, so it never reads or fills the
+    /// render cache, work-sharing or remote tiers: a cache hit would
+    /// report operators that did no work, and the point is to measure
+    /// what each operator costs.
     pub fn explain_analyze(&mut self, spec: &Spec) -> Result<AnalyzeReport, EngineError> {
-        self.bind(spec)?;
-        let (specialized, dde_rewrites) = self.specialize(spec);
-        let logical_unopt = lower_spec(spec)?;
-        let (physical, _, trace) = self.plan_traced(&specialized)?;
-        let (output, exec_trace, _) = execute_traced(&physical, &self.catalog, &self.config.exec)?;
+        let planned = self.plan_spec(spec)?;
+        let logical = explain_logical(&lower_spec(spec)?);
+        let physical = explain_physical(&planned.physical);
+        let (report, trace) = self.run_core(planned, None)?;
         Ok(AnalyzeReport {
             explain: ExplainReport {
-                logical: explain_logical(&logical_unopt),
-                physical: explain_physical(&physical),
-                trace,
-                plan_stats: physical.stats,
-                dde_rewrites: dde_rewrites as u64,
+                logical,
+                physical,
+                trace: trace.rewrites,
+                plan_stats: trace.plan_stats,
+                dde_rewrites: trace.dde_rewrites,
             },
-            exec: exec_trace,
-            output_frames: output.len() as u64,
+            exec: trace.exec,
+            output_frames: report.output.len() as u64,
         })
     }
 }
@@ -891,7 +886,8 @@ mod tests {
             .video("a", "a.svc")
             .append_clip("a", r(1, 1), r(2, 1))
             .build();
-        let (report, trace) = engine.run_traced(&spec).unwrap();
+        let prepared = engine.prepare(&spec).unwrap();
+        let (report, trace) = engine.run_prepared(prepared).unwrap();
         assert_eq!(trace.exec.totals, report.stats);
         assert_eq!(trace.rewrites.fired("stream_copy"), 1);
         assert_eq!(

@@ -114,8 +114,9 @@ pub struct RunTrace {
 
 impl RunTrace {
     /// Assembles the artifact from the pipeline's pieces. The metrics
-    /// snapshot is built here — counters mirror the stats totals, and a
-    /// histogram captures the per-segment wall-time distribution.
+    /// snapshot is built here — counters mirror the stats totals through
+    /// [`ExecStats::counters`], and a histogram captures the per-segment
+    /// wall-time distribution.
     pub fn assemble(
         dde_rewrites: u64,
         plan_stats: PlanStats,
@@ -124,63 +125,9 @@ impl RunTrace {
         spans: Vec<SpanRecord>,
     ) -> RunTrace {
         let registry = Registry::new();
-        let t = exec.totals;
-        registry
-            .counter("exec.frames_decoded")
-            .add(t.frames_decoded);
-        registry
-            .counter("exec.frames_encoded")
-            .add(t.frames_encoded);
-        registry
-            .counter("exec.packets_copied")
-            .add(t.packets_copied);
-        registry.counter("exec.bytes_copied").add(t.bytes_copied);
-        registry.counter("exec.bytes_decoded").add(t.bytes_decoded);
-        registry.counter("exec.bytes_encoded").add(t.bytes_encoded);
-        registry.counter("exec.seeks").add(t.seeks);
-        registry.counter("exec.segments").add(t.segments);
-        registry
-            .counter("exec.gop_cache_hits")
-            .add(t.gop_cache_hits);
-        registry
-            .counter("exec.gop_cache_misses")
-            .add(t.gop_cache_misses);
-        registry.counter("exec.splits").add(t.splits);
-        registry.counter("exec.steals").add(t.steals);
-        registry
-            .counter("exec.faults.injected")
-            .add(t.faults_injected);
-        registry.counter("exec.faults.retries").add(t.retries);
-        registry
-            .counter("exec.faults.parts_skipped")
-            .add(t.parts_skipped);
-        registry
-            .counter("exec.faults.parts_substituted")
-            .add(t.parts_substituted);
-        registry
-            .counter("exec.faults.frames_substituted")
-            .add(t.frames_substituted);
-        registry
-            .counter("exec.cache.result_hits")
-            .add(t.cache.result_hits);
-        registry
-            .counter("exec.cache.segment_hits")
-            .add(t.cache.segment_hits);
-        registry
-            .counter("exec.cache.evictions")
-            .add(t.cache.evictions);
-        registry
-            .counter("exec.cache.bytes_reused")
-            .add(t.cache.bytes_reused);
-        registry
-            .counter("exec.cache.inflight_hits")
-            .add(t.cache.inflight_hits);
-        registry
-            .counter("exec.cache.shared_segment_hits")
-            .add(t.cache.shared_segment_hits);
-        registry
-            .counter("exec.cache.mem_hits")
-            .add(t.cache.mem_hits);
+        for (name, value) in exec.totals.counters() {
+            registry.counter(name).add(value);
+        }
         registry
             .counter("plan.rewrite_events")
             .add(rewrites.events.len() as u64);

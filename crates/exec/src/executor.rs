@@ -6,9 +6,19 @@
 //! output order — "we use the dependency graph to execute operators in
 //! parallel as an additional optimization at runtime" (§IV-A). The
 //! parallelism itself lives in [`crate::scheduler`]: work is dispatched
-//! longest-first by estimated cost, long renders are split at output-GOP
+//! longest-first by estimated cost (except that the part delivery is
+//! waiting on goes first), long renders are split at output-GOP
 //! boundaries when workers idle, and each render part internally
 //! pipelines decode-ahead, parallel compose, and per-GOP encoding.
+//!
+//! One body serves batch and streaming runs. Parts reach it in
+//! presentation order, so an optional packet sink receives each packet
+//! as soon as the head of the output is ready — the paper's
+//! interactivity story (§I): "Through database-style optimizations
+//! described in this paper and on-demand streaming, V2V enables a VDBMS
+//! to execute such a query and to begin playback within seconds." A
+//! plan whose first segment is a stream copy starts playback after a
+//! refcount bump; [`ExecTrace::first_packet_ns`] quantifies the claim.
 
 use crate::catalog::Catalog;
 use crate::fault::{ErrorPolicy, FaultInjector};
@@ -18,6 +28,7 @@ use crate::trace::{ExecTrace, SegmentTrace};
 use crate::ExecError;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use v2v_codec::Packet;
 use v2v_container::{StreamWriter, VideoStream};
 use v2v_plan::PhysicalPlan;
 use v2v_time::Rational;
@@ -25,11 +36,6 @@ use v2v_time::Rational;
 /// Execution options.
 #[derive(Clone, Debug)]
 pub struct ExecOptions {
-    /// Evaluate segments in parallel (the runtime half of the paper's
-    /// optimization story). Disable for the ablation benches; when
-    /// `false` the engine runs strictly sequentially, ignoring
-    /// `num_threads`, `pipeline_depth`, and `runtime_split`.
-    pub parallel: bool,
     /// Capacity of the shared decoded-GOP cache, in frames. Segments
     /// reading the same source ranges (grid cells, splice neighbours)
     /// decode each GOP once and share it. `0` disables the cache.
@@ -40,10 +46,13 @@ pub struct ExecOptions {
     /// incoming, so anything under ~1700 thrashes on such sources (the default leaves
     /// headroom above that working set).
     pub gop_cache_frames: usize,
-    /// Worker threads for the scheduler. `0` means auto: the
+    /// Worker threads for the scheduler (the runtime half of the
+    /// paper's optimization story). `0` means auto: the
     /// `V2V_NUM_THREADS` environment variable if set, else the machine's
-    /// available parallelism. Each engine gets its own scoped pool, so
-    /// two engines in one process never fight over a global pool.
+    /// available parallelism. `1` runs strictly sequentially (the serial
+    /// ablation arm), ignoring `pipeline_depth` and `runtime_split`.
+    /// Each engine gets its own scoped pool, so two engines in one
+    /// process never fight over a global pool.
     pub num_threads: usize,
     /// Decode-ahead depth of the intra-segment pipeline, in output GOPs:
     /// the prefetch stage may run this many GOPs ahead of the encoder,
@@ -81,7 +90,6 @@ pub struct ExecOptions {
 impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
-            parallel: true,
             gop_cache_frames: 4096,
             num_threads: 0,
             pipeline_depth: 2,
@@ -95,13 +103,10 @@ impl Default for ExecOptions {
 }
 
 impl ExecOptions {
-    /// The worker count the scheduler will actually use: 1 when
-    /// `parallel` is off, else `num_threads`, else `V2V_NUM_THREADS`,
-    /// else the machine's available parallelism.
+    /// The worker count the scheduler will actually use: `num_threads`
+    /// if set, else `V2V_NUM_THREADS`, else the machine's available
+    /// parallelism.
     pub fn effective_threads(&self) -> usize {
-        if !self.parallel {
-            return 1;
-        }
         if self.num_threads > 0 {
             return self.num_threads;
         }
@@ -174,8 +179,7 @@ pub struct ExecStats {
 }
 
 impl ExecStats {
-    /// Field-wise accumulation: counters add. Used by both the batch and
-    /// streaming executors so the two cannot drift.
+    /// Field-wise accumulation: counters add.
     pub fn merge(mut self, other: ExecStats) -> ExecStats {
         self.frames_decoded += other.frames_decoded;
         self.frames_encoded += other.frames_encoded;
@@ -196,6 +200,41 @@ impl ExecStats {
         self.frames_substituted += other.frames_substituted;
         self.cache = self.cache.merge(other.cache);
         self
+    }
+
+    /// Every counter as a `(metric name, value)` row: the one mapping of
+    /// these fields onto the dotted `exec.*` names, read by both the run
+    /// trace's metrics snapshot and the daemon's `/metrics`. A new field
+    /// needs one row here.
+    pub fn counters(&self) -> [(&'static str, u64); 25] {
+        let c = &self.cache;
+        [
+            ("exec.frames_decoded", self.frames_decoded),
+            ("exec.frames_encoded", self.frames_encoded),
+            ("exec.packets_copied", self.packets_copied),
+            ("exec.bytes_copied", self.bytes_copied),
+            ("exec.bytes_decoded", self.bytes_decoded),
+            ("exec.bytes_encoded", self.bytes_encoded),
+            ("exec.seeks", self.seeks),
+            ("exec.segments", self.segments),
+            ("exec.gop_cache_hits", self.gop_cache_hits),
+            ("exec.gop_cache_misses", self.gop_cache_misses),
+            ("exec.splits", self.splits),
+            ("exec.steals", self.steals),
+            ("exec.faults.injected", self.faults_injected),
+            ("exec.faults.retries", self.retries),
+            ("exec.faults.parts_skipped", self.parts_skipped),
+            ("exec.faults.parts_substituted", self.parts_substituted),
+            ("exec.faults.frames_substituted", self.frames_substituted),
+            ("exec.cache.result_hits", c.result_hits),
+            ("exec.cache.segment_hits", c.segment_hits),
+            ("exec.cache.evictions", c.evictions),
+            ("exec.cache.bytes_reused", c.bytes_reused),
+            ("exec.cache.inflight_hits", c.inflight_hits),
+            ("exec.cache.shared_segment_hits", c.shared_segment_hits),
+            ("exec.cache.mem_hits", c.mem_hits),
+            ("exec.remote.segments", c.remote_segments),
+        ]
     }
 }
 
@@ -222,11 +261,51 @@ pub fn execute_traced(
     catalog: &Catalog,
     opts: &ExecOptions,
 ) -> Result<(VideoStream, ExecTrace, Duration), ExecError> {
+    run_plan(plan, catalog, opts, None)
+}
+
+/// [`execute_traced`] with on-demand streaming delivery: packets reach
+/// `sink` in presentation order as parts complete, while later segments
+/// are still rendering, so playback can begin before synthesis ends
+/// (paper §I). The sink sees packets already re-stamped onto the output
+/// presentation grid — exactly the returned stream's packets, however
+/// the scheduler split the work — and runs on the calling thread, so it
+/// needs no synchronization. [`ExecTrace::first_packet_ns`] is the
+/// measured time to first packet.
+pub fn execute_streaming(
+    plan: &PhysicalPlan,
+    catalog: &Catalog,
+    opts: &ExecOptions,
+    mut sink: impl FnMut(&Packet),
+) -> Result<(VideoStream, ExecTrace, Duration), ExecError> {
+    run_plan(plan, catalog, opts, Some(&mut sink))
+}
+
+/// The one executor body: schedules every part of `plan`, splices the
+/// parts into the output in presentation order, rolls the per-segment
+/// trace up, and forwards each packet to `sink` when one is attached.
+fn run_plan(
+    plan: &PhysicalPlan,
+    catalog: &Catalog,
+    opts: &ExecOptions,
+    mut sink: Option<&mut dyn FnMut(&Packet)>,
+) -> Result<(VideoStream, ExecTrace, Duration), ExecError> {
     let started = Instant::now();
     let cache = GopCache::new(opts.gop_cache_frames);
     let mut writer = StreamWriter::new(plan.out_params, Rational::ZERO, plan.frame_dur);
     let mut trace = ExecTrace::default();
+    let mut first_sent = false;
     let mut deliver = |part: PartOutput| -> Result<(), ExecError> {
+        if !first_sent && !part.packets.is_empty() {
+            trace.first_packet_ns = started.elapsed().as_nanos() as u64;
+            first_sent = true;
+        }
+        if let Some(sink) = sink.as_deref_mut() {
+            let base = writer.len() as i64;
+            for (k, p) in part.packets.iter().enumerate() {
+                sink(&p.retimed(plan.frame_dur * Rational::from_int(base + k as i64)));
+            }
+        }
         writer.push_copied(&part.packets)?;
         if let Some(fault) = &part.fault {
             trace.errors.push(fault.clone());
@@ -502,20 +581,12 @@ mod tests {
             &OptimizerConfig::default(),
         )
         .unwrap();
-        let (par, _, _) = execute(
-            &phys,
-            &catalog,
-            &ExecOptions {
-                parallel: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let (par, _, _) = execute(&phys, &catalog, &ExecOptions::default()).unwrap();
         let (ser, _, _) = execute(
             &phys,
             &catalog,
             &ExecOptions {
-                parallel: false,
+                num_threads: 1,
                 ..Default::default()
             },
         )
@@ -523,5 +594,125 @@ mod tests {
         let (fa, _) = par.decode_range(0, par.len()).unwrap();
         let (fb, _) = ser.decode_range(0, ser.len()).unwrap();
         assert_eq!(fa, fb);
+    }
+
+    /// copy(1s..3s) + blur(4s..8s) over a 10 s source: a cheap stream
+    /// copy at the head of the output, renders behind it.
+    fn streaming_setup() -> (Catalog, PhysicalPlan) {
+        let mut catalog = Catalog::new();
+        catalog.add_video("src", marked_stream(300, 30));
+        let spec = SpecBuilder::new(output())
+            .video("src", "src.svc")
+            .append_clip("src", r(1, 1), Rational::from_int(2))
+            .append_filtered("src", r(4, 1), Rational::from_int(4), |e| blur(e, 1.0))
+            .build();
+        let logical = lower_spec(&spec).unwrap();
+        let plan = optimize(
+            &logical,
+            &catalog.plan_context(),
+            &OptimizerConfig::default(),
+        )
+        .unwrap();
+        (catalog, plan)
+    }
+
+    #[test]
+    fn streaming_output_matches_batch() {
+        let (catalog, plan) = streaming_setup();
+        let mut sink_count = 0usize;
+        let (streamed, stats, total) =
+            execute_streaming(&plan, &catalog, &ExecOptions::default(), |_| {
+                sink_count += 1
+            })
+            .unwrap();
+        let (batch, _, _) = execute(&plan, &catalog, &ExecOptions::default()).unwrap();
+        assert_eq!(sink_count, streamed.len());
+        assert_eq!(streamed.len(), batch.len());
+        let (fa, _) = streamed.decode_range(0, streamed.len()).unwrap();
+        let (fb, _) = batch.decode_range(0, batch.len()).unwrap();
+        assert_eq!(fa, fb);
+        assert!(Duration::from_nanos(stats.first_packet_ns) <= total);
+    }
+
+    #[test]
+    fn sink_receives_packets_in_presentation_order() {
+        let (catalog, plan) = streaming_setup();
+        let mut keyframes_seen = 0;
+        let mut count = 0usize;
+        execute_streaming(&plan, &catalog, &ExecOptions::default(), |p| {
+            if count == 0 {
+                assert!(p.keyframe, "stream must open with a keyframe");
+            }
+            if p.keyframe {
+                keyframes_seen += 1;
+            }
+            count += 1;
+        })
+        .unwrap();
+        assert_eq!(count, 180);
+        assert!(keyframes_seen >= plan.segments.len());
+    }
+
+    #[test]
+    fn copy_first_plans_start_fast() {
+        // A plan whose first segment is a copy should deliver its first
+        // packet long before the blur-heavy tail finishes.
+        let (catalog, plan) = streaming_setup();
+        assert!(plan.segments[0].plan.is_copy(), "test premise");
+        let (_, trace, total) =
+            execute_streaming(&plan, &catalog, &ExecOptions::default(), |_| {}).unwrap();
+        let time_to_first_packet = Duration::from_nanos(trace.first_packet_ns);
+        assert!(
+            time_to_first_packet < total / 2,
+            "ttfp {:?} vs total {:?}",
+            time_to_first_packet,
+            total
+        );
+    }
+
+    #[test]
+    fn worker_errors_propagate() {
+        let (catalog, mut plan) = streaming_setup();
+        // Corrupt a segment to reference a missing video.
+        if let SegPlan::StreamCopy { video, .. } = &mut plan.segments[0].plan {
+            *video = "ghost".into();
+        }
+        assert!(execute_streaming(&plan, &catalog, &ExecOptions::default(), |_| {}).is_err());
+    }
+
+    /// Counts the numeric leaves of a serialized value, renumbering each
+    /// one `1..=n` in visit order.
+    fn renumber_leaves(v: &mut serde_json::Value, next: &mut u64) {
+        match v {
+            serde_json::Value::Number(_) => {
+                *next += 1;
+                *v = serde_json::Value::from(*next);
+            }
+            serde_json::Value::Object(map) => {
+                let keys: Vec<String> = map.keys().cloned().collect();
+                for key in keys {
+                    renumber_leaves(map.get_mut(key.as_str()).unwrap(), next);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    #[test]
+    fn counter_table_has_one_row_per_stats_field() {
+        // Give every numeric field of the serialized stats a distinct
+        // value: the table must then carry each value exactly once,
+        // under distinct names.
+        let mut value = serde_json::to_value(ExecStats::default()).unwrap();
+        let mut leaves = 0u64;
+        renumber_leaves(&mut value, &mut leaves);
+        let stats: ExecStats = serde_json::from_value(value).unwrap();
+        let rows = stats.counters();
+        assert_eq!(rows.len() as u64, leaves, "one row per numeric field");
+        let mut values: Vec<u64> = rows.iter().map(|(_, v)| *v).collect();
+        values.sort_unstable();
+        assert_eq!(values, (1..=leaves).collect::<Vec<_>>());
+        let names: std::collections::BTreeSet<&str> = rows.iter().map(|(n, _)| *n).collect();
+        assert_eq!(names.len(), rows.len(), "names are unique");
     }
 }

@@ -9,7 +9,9 @@
 //!   dispatch, decode-ahead pipelining, runtime splitting of long render
 //!   segments at GOP boundaries), fusing decode → transform → encode per
 //!   render segment and splicing stream-copied packet runs without
-//!   touching raster data;
+//!   touching raster data. [`execute_streaming`] is the same run with a
+//!   packet sink that receives the output in presentation order while
+//!   later segments are still rendering;
 //! * [`execute_naive`] — the unoptimized reference: interprets the
 //!   logical plan operator-at-a-time, materializing an encoded
 //!   intermediate stream at every `Clip`, `Filter`, and the final
@@ -33,13 +35,12 @@ pub mod remote;
 pub mod render_cache;
 pub mod scheduler;
 pub mod single_flight;
-pub mod streaming;
 pub mod trace;
 
 pub use apply::{apply_program, UdfKernel};
 pub use catalog::{Catalog, VariantSource};
 pub use cursor::SourceCursor;
-pub use executor::{execute, execute_traced, ExecOptions, ExecStats};
+pub use executor::{execute, execute_streaming, execute_traced, ExecOptions, ExecStats};
 pub use fault::{error_kind, ErrorPolicy, FaultAction, FaultInjector, FaultKind, SegmentFault};
 pub use gop_cache::{GopCache, GopFrames};
 pub use mem_tier::MemTier;
@@ -48,7 +49,6 @@ pub use remote::RemoteRenderer;
 pub use render_cache::{CacheStats, CacheTier, FragmentFlight, RenderCache, SegmentCacheCtx};
 pub use scheduler::{segment_cost, PartOutput, SchedReport};
 pub use single_flight::{FlightGuard, Join, SingleFlight};
-pub use streaming::{execute_streaming, execute_streaming_with, StreamingStats};
 pub use trace::{ExecTrace, SegmentTrace, StageTimes};
 
 /// Errors raised during execution.

@@ -2,7 +2,7 @@
 //!
 //! The paper's runtime story (§IV-A) is to "use the dependency graph to
 //! execute operators in parallel"; this module is the engine behind
-//! both executors' parallelism. It improves on plain
+//! the executor's parallelism. It improves on plain
 //! segment-at-a-time fan-out in three ways:
 //!
 //! 1. **Cost-ordered dispatch.** Each segment's cost is estimated from
@@ -28,9 +28,12 @@
 //!    runtime analogue of the planner's lossless shard re-concat.
 //!
 //! Parts are emitted to a `deliver` callback **in presentation order**
-//! (a reorder buffer holds early finishers), so the batch executor can
-//! splice directly into a [`StreamWriter`] and the streaming executor
-//! can sink packets as soon as the head of the output is ready.
+//! (a reorder buffer holds early finishers), so the executor can splice
+//! directly into a [`StreamWriter`] and hand packets to a streaming
+//! sink as soon as the head of the output is ready. To keep that head
+//! moving, dispatch is *delivery-aware*: the driver publishes the
+//! absolute output frame it is waiting on, and a free worker takes the
+//! queued task starting there before falling back to longest-first.
 //!
 //! [`StreamWriter`]: v2v_container::StreamWriter
 
@@ -131,6 +134,9 @@ struct Shared {
     idle_hint: AtomicUsize,
     /// Mirror of `state.queue.len()`.
     queued_hint: AtomicUsize,
+    /// The absolute output frame in-order delivery is waiting on,
+    /// published by the driver (a stale read only costs one LPT pop).
+    head: AtomicU64,
 }
 
 impl Shared {
@@ -148,6 +154,7 @@ impl Shared {
             work: Condvar::new(),
             idle_hint: AtomicUsize::new(0),
             queued_hint: AtomicUsize::new(queued),
+            head: AtomicU64::new(0),
         }
     }
 
@@ -389,6 +396,7 @@ fn drive(
                     }
                     next_abs += count;
                 }
+                shared.head.store(next_abs, Ordering::Relaxed);
             }
             Err(e) => {
                 result = Err(e);
@@ -426,7 +434,8 @@ fn worker_loop(
                 if st.shutdown {
                     return;
                 }
-                if let Some(t) = st.queue.pop() {
+                let head = shared.head.load(Ordering::Relaxed);
+                if let Some(t) = take_next(&mut st.queue, plan, head) {
                     // Overlap-aware dispatch: a whole segment whose key
                     // is being rendered by another run right now would
                     // only block on its flight — push it behind the
@@ -533,6 +542,18 @@ fn worker_loop(
             return;
         }
     }
+}
+
+/// Delivery-aware LPT: the queued task that starts at the frame
+/// in-order delivery is waiting on (`head`), if there is one, else the
+/// costliest. A task already deferred behind an in-flight render is
+/// left to the LPT order, so it is not re-taken at once.
+fn take_next(queue: &mut Vec<Task>, plan: &PhysicalPlan, head: u64) -> Option<Task> {
+    let at = queue
+        .iter()
+        .rposition(|t| !t.deferred && plan.segments[t.seg_index].out_start + t.from == head)
+        .or_else(|| queue.len().checked_sub(1))?;
+    Some(queue.remove(at))
 }
 
 /// True when a fragment can stand in for this whole segment: identical

@@ -81,6 +81,12 @@ pub struct ExecTrace {
     /// End-to-end wall time in nanoseconds. Unstable; excluded from
     /// golden comparisons.
     pub wall_ns: u64,
+    /// Time to first packet: nanoseconds from executor start until the
+    /// first output packet was delivered (to the packet sink, on a
+    /// streaming run). Zero when the output is empty. Unstable; excluded
+    /// from golden comparisons.
+    #[serde(default)]
+    pub first_packet_ns: u64,
     /// Structured error report: one entry per part that failed and was
     /// recovered, skipped, or substituted under the run's error policy.
     /// Empty on clean runs (and absent from their JSON).
@@ -175,6 +181,7 @@ mod tests {
                 ..Default::default()
             },
             wall_ns: 2_000,
+            first_packet_ns: 500,
             errors: Vec::new(),
         };
         let back = ExecTrace::from_json(&trace.to_json()).unwrap();

@@ -284,21 +284,9 @@ struct Metrics {
     exec: ExecMetrics,
 }
 
-/// Pre-resolved `exec.*` counters mirrored from each run's stats.
-struct ExecMetrics {
-    frames_decoded: Arc<Counter>,
-    frames_encoded: Arc<Counter>,
-    bytes_decoded: Arc<Counter>,
-    packets_copied: Arc<Counter>,
-    result_hits: Arc<Counter>,
-    segment_hits: Arc<Counter>,
-    evictions: Arc<Counter>,
-    bytes_reused: Arc<Counter>,
-    inflight_hits: Arc<Counter>,
-    shared_segment_hits: Arc<Counter>,
-    mem_hits: Arc<Counter>,
-    remote_segments: Arc<Counter>,
-}
+/// Pre-resolved `exec.*` counters mirrored from each run's stats, one
+/// per row of [`ExecStats::counters`] and in its order.
+type ExecMetrics = [Arc<Counter>; 25];
 
 impl Metrics {
     fn new(registry: &Registry) -> Metrics {
@@ -322,20 +310,9 @@ impl Metrics {
             store_preview: registry.counter("store.reads.preview"),
             store_materializations: registry.counter("store.materializations"),
             store_drops: registry.counter("store.drops"),
-            exec: ExecMetrics {
-                frames_decoded: registry.counter("exec.frames_decoded"),
-                frames_encoded: registry.counter("exec.frames_encoded"),
-                bytes_decoded: registry.counter("exec.bytes_decoded"),
-                packets_copied: registry.counter("exec.packets_copied"),
-                result_hits: registry.counter("exec.cache.result_hits"),
-                segment_hits: registry.counter("exec.cache.segment_hits"),
-                evictions: registry.counter("exec.cache.evictions"),
-                bytes_reused: registry.counter("exec.cache.bytes_reused"),
-                inflight_hits: registry.counter("exec.cache.inflight_hits"),
-                shared_segment_hits: registry.counter("exec.cache.shared_segment_hits"),
-                mem_hits: registry.counter("exec.cache.mem_hits"),
-                remote_segments: registry.counter("exec.remote.segments"),
-            },
+            exec: ExecStats::default()
+                .counters()
+                .map(|(name, _)| registry.counter(name)),
         }
     }
 }
@@ -1342,19 +1319,11 @@ fn stats_header(stats: &ExecStats, queue_wait_ns: u64) -> String {
 /// Mirrors one run's [`ExecStats`] into the server-lifetime registry
 /// through the pre-resolved handles (no per-counter map lookups).
 fn record_exec_metrics(exec: &ExecMetrics, stats: &ExecStats) {
-    exec.frames_decoded.add(stats.frames_decoded);
-    exec.frames_encoded.add(stats.frames_encoded);
-    exec.bytes_decoded.add(stats.bytes_decoded);
-    exec.packets_copied.add(stats.packets_copied);
-    exec.result_hits.add(stats.cache.result_hits);
-    exec.segment_hits.add(stats.cache.segment_hits);
-    exec.evictions.add(stats.cache.evictions);
-    exec.bytes_reused.add(stats.cache.bytes_reused);
-    exec.inflight_hits.add(stats.cache.inflight_hits);
-    exec.shared_segment_hits
-        .add(stats.cache.shared_segment_hits);
-    exec.mem_hits.add(stats.cache.mem_hits);
-    exec.remote_segments.add(stats.cache.remote_segments);
+    for (counter, (_, value)) in exec.iter().zip(stats.counters()) {
+        if value > 0 {
+            counter.add(value);
+        }
+    }
 }
 
 /// Maps the error taxonomy onto HTTP status codes.

@@ -21,7 +21,8 @@ fn output_of_one_query_feeds_the_next() {
         .append_clip("src", r(1, 1), Rational::from_int(2))
         .append_clip("src", r(6, 1), Rational::from_int(2))
         .build();
-    let r1 = engine.run_into_catalog("stage1", &stage1).unwrap();
+    let r1 = engine.run(&stage1).unwrap();
+    engine.catalog_mut().add_video("stage1", r1.output.clone());
     assert_eq!(r1.output.len(), 120);
 
     // Stage 2: clip the middle of stage 1 — a compound query over the
@@ -53,7 +54,8 @@ fn algebra_composes_with_transforms() {
         .video("src", "src.svc")
         .append_filtered("src", r(0, 1), Rational::from_int(2), grayscale)
         .build();
-    engine.run_into_catalog("gray", &stage1).unwrap();
+    let r1 = engine.run(&stage1).unwrap();
+    engine.catalog_mut().add_video("gray", r1.output);
 
     let stage2 = SpecBuilder::new(marked_output())
         .video("gray", "catalog")
@@ -88,7 +90,7 @@ fn engine_streaming_matches_batch() {
         })
         .unwrap();
     assert_eq!(first_keyframe, Some(true));
-    assert!(streaming.time_to_first_packet <= streaming.total);
+    assert!(streaming.exec.first_packet_ns <= streaming.exec.wall_ns);
     let batch = engine.run(&spec).unwrap();
     assert_eq!(markers_of(&report.output), markers_of(&batch.output));
 }

@@ -5,7 +5,7 @@
 //! serial executor's — splits land on output-GOP boundaries and packets
 //! are re-stamped onto the presentation grid, so no arm is allowed to
 //! change a single payload byte. This suite pins that invariant over
-//! the full `{batch, streaming} × {serial, parallel, pipelined,
+//! the full `{sink, no sink} × {serial, parallel, pipelined,
 //! runtime-split} × {1, 2, 8 threads}` matrix on adversarial plan
 //! shapes:
 //!
@@ -18,7 +18,7 @@
 
 use proptest::prelude::*;
 use v2v_container::VideoStream;
-use v2v_exec::{execute, execute_streaming_with, Catalog, ExecOptions};
+use v2v_exec::{execute, execute_streaming, Catalog, ExecOptions};
 use v2v_integration_tests::{marked_output, marked_stream};
 use v2v_plan::{lower_spec, optimize, OptimizerConfig, PhysicalPlan};
 use v2v_spec::builder::blur;
@@ -89,7 +89,7 @@ fn arms() -> Vec<(&'static str, ExecOptions)> {
         (
             "serial",
             ExecOptions {
-                parallel: false,
+                num_threads: 1,
                 ..Default::default()
             },
         ),
@@ -128,7 +128,7 @@ fn all_modes_are_byte_identical() {
             &plan,
             &catalog,
             &ExecOptions {
-                parallel: false,
+                num_threads: 1,
                 ..Default::default()
             },
         )
@@ -144,9 +144,8 @@ fn all_modes_are_byte_identical() {
                 assert_same_stream(&format!("batch/{label}"), &baseline, &batch);
 
                 let mut sunk: Vec<v2v_codec::Packet> = Vec::new();
-                let (streamed, _) =
-                    execute_streaming_with(&plan, &catalog, &opts, |p| sunk.push(p.clone()))
-                        .unwrap();
+                let (streamed, _, _) =
+                    execute_streaming(&plan, &catalog, &opts, |p| sunk.push(p.clone())).unwrap();
                 assert_same_stream(&format!("streaming/{label}"), &baseline, &streamed);
                 // The sink saw the same packets, already on the
                 // presentation grid, in presentation order.
@@ -175,7 +174,7 @@ fn split_heavy_run_splits_and_stays_identical() {
         plan,
         &catalog,
         &ExecOptions {
-            parallel: false,
+            num_threads: 1,
             ..Default::default()
         },
     )
@@ -223,13 +222,13 @@ proptest! {
         }
         let plan = plan_of(&spec, &catalog, &OptimizerConfig::default());
         let (baseline, _, _) = execute(&plan, &catalog, &ExecOptions {
-            parallel: false,
+            num_threads: 1,
             ..Default::default()
         }).unwrap();
         let opts = ExecOptions { num_threads: threads, ..Default::default() };
         let (batch, _, _) = execute(&plan, &catalog, &opts).unwrap();
         prop_assert_eq!(baseline.packets(), batch.packets());
-        let (streamed, _) = execute_streaming_with(&plan, &catalog, &opts, |_| {}).unwrap();
+        let (streamed, _, _) = execute_streaming(&plan, &catalog, &opts, |_| {}).unwrap();
         prop_assert_eq!(baseline.packets(), streamed.packets());
     }
 }

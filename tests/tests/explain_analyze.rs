@@ -18,7 +18,7 @@ fn engine() -> V2vEngine {
     let mut catalog = Catalog::new();
     catalog.add_video("src", marked_stream(120, 30));
     let mut config = EngineConfig::default();
-    config.exec.parallel = false;
+    config.exec.num_threads = 1;
     V2vEngine::new(catalog).with_config(config)
 }
 
@@ -87,7 +87,7 @@ fn engine_clone() -> V2vEngine {
 
 #[test]
 fn analyze_matches_trace_artifact() {
-    // `explain_analyze` and `run_traced` must tell the same story.
+    // `explain_analyze` and a traced run must tell the same story.
     let mut a = engine();
     let mut b = engine();
     let spec = SpecBuilder::new(marked_output())
@@ -95,7 +95,8 @@ fn analyze_matches_trace_artifact() {
         .append_clip("src", r(1, 2), Rational::from_int(2))
         .build();
     let analyze = a.explain_analyze(&spec).unwrap();
-    let (_, trace) = b.run_traced(&spec).unwrap();
+    let prepared = b.prepare(&spec).unwrap();
+    let (_, trace) = b.run_prepared(prepared).unwrap();
     assert_eq!(analyze.exec.totals, trace.exec.totals);
     assert_eq!(
         analyze.explain.trace.rules_fired(),

@@ -26,8 +26,8 @@
 use std::sync::Arc;
 use v2v_container::VideoStream;
 use v2v_exec::{
-    execute, execute_streaming_with, execute_traced, Catalog, ErrorPolicy, ExecOptions,
-    FaultInjector, FaultKind, SegmentFault,
+    execute, execute_streaming, execute_traced, Catalog, ErrorPolicy, ExecOptions, FaultInjector,
+    FaultKind, SegmentFault,
 };
 use v2v_frame::{marker, Frame, FrameType};
 use v2v_integration_tests::{marked_output, marked_stream};
@@ -77,7 +77,7 @@ fn arms() -> Vec<(&'static str, ExecOptions)> {
         (
             "serial",
             ExecOptions {
-                parallel: false,
+                num_threads: 1,
                 ..Default::default()
             },
         ),
@@ -104,7 +104,7 @@ fn baseline(plan: &PhysicalPlan, catalog: &Catalog) -> VideoStream {
         plan,
         catalog,
         &ExecOptions {
-            parallel: false,
+            num_threads: 1,
             ..Default::default()
         },
     )
@@ -132,7 +132,7 @@ fn zero_fault_runs_with_policies_stay_byte_identical() {
             assert!(trace.errors.is_empty(), "batch/{label}: spurious faults");
             assert_eq!(trace.totals.faults_injected, 0, "batch/{label}");
 
-            let (streamed, stats) = execute_streaming_with(&plan, &catalog, &opts, |_| {}).unwrap();
+            let (streamed, stats, _) = execute_streaming(&plan, &catalog, &opts, |_| {}).unwrap();
             assert_eq!(clean.packets(), streamed.packets(), "streaming/{label}");
             assert!(
                 stats.errors.is_empty(),
@@ -185,9 +185,9 @@ fn transient_fault_recovers_byte_identical_everywhere() {
                 fault: Some(Arc::new(injector)),
                 ..opts
             };
-            let (streamed, stats) = execute_streaming_with(&plan, &catalog, &opts, |_| {}).unwrap();
+            let (streamed, stats, _) = execute_streaming(&plan, &catalog, &opts, |_| {}).unwrap();
             assert_eq!(clean.packets(), streamed.packets(), "streaming/{label}");
-            assert_eq!(stats.exec.faults_injected, 1, "streaming/{label}");
+            assert_eq!(stats.totals.faults_injected, 1, "streaming/{label}");
             assert_eq!(stats.errors.len(), 1, "streaming/{label}");
         }
     }
@@ -212,7 +212,7 @@ fn persistent_fault_under_abort_fails_the_run() {
             ..opts
         };
         assert!(
-            execute_streaming_with(&plan, &catalog, &opts, |_| {}).is_err(),
+            execute_streaming(&plan, &catalog, &opts, |_| {}).is_err(),
             "streaming/{arm}"
         );
     }
@@ -263,8 +263,8 @@ fn skip_segment_completes_with_a_reported_hole() {
             ..opts
         };
         let mut sunk = 0usize;
-        let (streamed, stats) =
-            execute_streaming_with(&plan, &catalog, &opts, |_| sunk += 1).unwrap();
+        let (streamed, stats, _) =
+            execute_streaming(&plan, &catalog, &opts, |_| sunk += 1).unwrap();
         assert_eq!(streamed.len(), sunk, "streaming/{arm}: sink diverged");
         assert!(streamed.len() < clean.len(), "streaming/{arm}");
         assert_skip_report(&stats.errors, &format!("streaming/{arm}"));
@@ -325,9 +325,9 @@ fn substitute_black_completes_at_full_length() {
             fault: Some(Arc::new(mk())),
             ..opts
         };
-        let (streamed, stats) = execute_streaming_with(&plan, &catalog, &opts, |_| {}).unwrap();
+        let (streamed, stats, _) = execute_streaming(&plan, &catalog, &opts, |_| {}).unwrap();
         assert_eq!(streamed.len(), clean.len(), "streaming/{arm}");
-        assert!(stats.exec.parts_substituted >= 1, "streaming/{arm}");
+        assert!(stats.totals.parts_substituted >= 1, "streaming/{arm}");
         assert!(!stats.errors.is_empty(), "streaming/{arm}");
     }
 }
@@ -351,13 +351,14 @@ fn fault_report_round_trips_through_the_engine() {
             fault: Some(Arc::new(injector)),
             on_error: ErrorPolicy::SubstituteBlack,
             max_retries: 1,
-            parallel: false,
+            num_threads: 1,
             ..Default::default()
         },
         ..Default::default()
     };
     let mut engine = V2vEngine::new(catalog).with_config(config);
-    let (report, trace) = engine.run_traced(&spec).unwrap();
+    let prepared = engine.prepare(&spec).unwrap();
+    let (report, trace) = engine.run_prepared(prepared).unwrap();
     assert!(!report.errors.is_empty(), "RunReport.errors empty");
     assert_eq!(report.errors, trace.exec.errors);
     assert!(trace.metrics.counter("exec.faults.injected") >= 1);

@@ -132,7 +132,7 @@ proptest! {
         cfg.optimizer.stream_copy = false;
         cfg.optimizer.smart_cut = false;
         cfg.optimizer.shard = false;
-        cfg.exec.parallel = false;
+        cfg.exec.num_threads = 1;
         cfg.data_rewrites = false;
         let mut plain = V2vEngine::new(cat.clone()).with_config(cfg);
         let b = plain.run(&spec).unwrap();

@@ -55,6 +55,29 @@ fn overlapping_spec() -> Spec {
 }
 
 #[test]
+fn streaming_run_serves_a_warm_result_hit_to_the_sink() {
+    // Streaming goes through the same run core as every other run: a
+    // warm render cache answers it with a whole-result hit, and the
+    // sink still receives every packet, in presentation order.
+    let dir = temp_dir("streaming_hit");
+    let cache = Arc::new(RenderCache::open(&dir, 1 << 30).unwrap());
+    let mut engine = engine_with_cache(&cache);
+    let spec = filtered_spec();
+    let cold = engine.run(&spec).expect("cold run");
+
+    let mut sunk: Vec<v2v_codec::Packet> = Vec::new();
+    let (warm, trace) = engine
+        .run_streaming(&spec, |p| sunk.push(p.clone()))
+        .expect("warm streaming run");
+    assert_eq!(warm.stats.cache.result_hits, 1);
+    assert_eq!(warm.stats.frames_decoded, 0, "a result hit decodes nothing");
+    assert_eq!(sunk, cold.output.packets(), "sink must see the cold output");
+    assert_eq!(warm.output.packets(), cold.output.packets());
+    assert!(trace.exec.first_packet_ns <= trace.exec.wall_ns);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn repeat_query_is_a_zero_decode_result_hit() {
     let dir = temp_dir("repeat");
     let cache = Arc::new(RenderCache::open(&dir, 1 << 30).unwrap());
